@@ -29,12 +29,10 @@ def _uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: the same
+    # operations per element as the two-sided masked form, without its masks
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -261,12 +259,20 @@ class Environment:
     train_interactions: tuple[np.ndarray, np.ndarray, np.ndarray]
     catalog: np.ndarray | None = None
     _pref_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _item_ids: tuple[np.ndarray, tuple] | None = field(default=None, repr=False, compare=False)
 
     def test_preference_counts(self) -> np.ndarray:
         if self._pref_cache is None:
             universe = self.items if self.catalog is None else self.catalog
             self._pref_cache = preference_counts(self.model, self.test_users, universe)
         return self._pref_cache
+
+    def item_ids(self) -> tuple:
+        """`items` as Python ints, in order; built once per `items` array, so
+        every catalog fallback (and the replay buffer) shares the same ints."""
+        if self._item_ids is None or self._item_ids[0] is not self.items:
+            self._item_ids = (self.items, tuple(int(i) for i in self.items))
+        return self._item_ids[1]
 
 
 # -- Q values ----------------------------------------------------------
@@ -363,23 +369,21 @@ def gru_step_np(gru: GruParameters, h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (1.0 - z) * h + z * c
 
 
-def fold_history_np(gru: GruParameters, matrix: np.ndarray, rows) -> np.ndarray:
-    """Inference-path GRU fold over item rows, from the zero state."""
-    h = np.zeros(gru.dim)
-    for row in rows:
-        h = gru_step_np(gru, h, matrix[row])
-    return h
-
-
 def compute_targets(batch: Sequence[Experience], params: AgentParameters,
                     target_qnet: QNetParameters, gamma: float,
                     center: bool = False) -> np.ndarray:
-    """Eq.-style double-Q targets for a replay batch; constants (no gradient)."""
+    """Eq.-style double-Q targets for a replay batch; constants (no gradient).
+
+    The parameters are fixed for the call, so histories that share a
+    prefix share its GRU fold: `folded` maps each history prefix seen in
+    this call to its state, and only the unseen suffix is stepped.
+    """
     matrix = params.item_matrix_data()
     rewards = [e.reward for e in batch]
     terminals = [e.terminal for e in batch]
     online_q: list[np.ndarray] = []
     target_q: list[np.ndarray] = []
+    folded: dict[tuple, np.ndarray] = {(): np.zeros(params.gru.dim)}
     for e in batch:
         if e.terminal:
             online_q.append(np.empty(0))
@@ -387,7 +391,15 @@ def compute_targets(batch: Sequence[Experience], params: AgentParameters,
             continue
         if not e.next_candidates:
             raise ValueError("non-terminal experience with no next candidates")
-        h = fold_history_np(params.gru, matrix, params.source.rows(e.next_observation))
+        history = tuple(e.next_observation)
+        rows = params.source.rows(history)
+        n = len(history)
+        while history[:n] not in folded:
+            n -= 1
+        h = folded[history[:n]]
+        for m in range(n, len(history)):
+            h = gru_step_np(params.gru, h, matrix[rows[m]])
+            folded[history[:m + 1]] = h
         vecs = matrix[params.source.rows(e.next_candidates)]
         online_q.append(score_candidates(params.qnet, h, vecs, center))
         target_q.append(score_candidates(target_qnet, h, vecs, center))
@@ -432,7 +444,7 @@ def build_candidates(env: Environment, graph: KnowledgeGraph | None, cfg: TrainC
         cs = candidate_items(graph, seeds, cfg.hops, max_size, exclude=recommended)
         if cs:
             return cs.items
-    return tuple(int(i) for i in env.items if int(i) not in recommended)
+    return tuple(i for i in env.item_ids() if i not in recommended)
 
 
 def epsilon_at(interactions: int, cfg: TrainConfig) -> float:
@@ -548,7 +560,7 @@ def evaluate_policy(params: AgentParameters | None, env: Environment,
                                  matrix[params.source.rows([state.records[0].item])[0]])
         while not state.done:
             if mode == "random":
-                unseen = [int(i) for i in env.items if int(i) not in state.recommended]
+                unseen = [i for i in env.item_ids() if i not in state.recommended]
                 item = int(unseen[rng.integers(len(unseen))])
             else:
                 candidates = build_candidates(env, graph, cfg, state.clicked, state.recommended)

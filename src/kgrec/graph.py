@@ -80,6 +80,8 @@ class KnowledgeGraph:
             succ.append(t)
         self._succ = succ
         self._mean_adjacency = None
+        self._linked: tuple[tuple, np.ndarray] | None = None
+        self._hop_rows: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def n_triples(self) -> int:
@@ -105,6 +107,36 @@ class KnowledgeGraph:
             self._mean_adjacency = sparse.csr_matrix(
                 (vals, (rows, cols)), shape=(self.n_entities, self.n_entities))
         return self._mean_adjacency
+
+    def _linked_items(self) -> tuple[tuple, np.ndarray]:
+        """Linked items in ascending id order, and each entity's column in
+        that order (-1 for entities without an item); built on first use."""
+        if self._linked is None:
+            items = tuple(sorted(self.item_to_entity))
+            column = np.full(self.n_entities, -1, dtype=np.int64)
+            entities = np.fromiter((self.item_to_entity[i] for i in items), dtype=np.int64,
+                                   count=len(items))
+            column[entities] = np.arange(len(items))
+            self._linked = (items, column)
+        return self._linked
+
+    def item_hop_row(self, entity: int, k: int) -> np.ndarray:
+        """First hop (1..k) at which `k_hop_sets({entity}, k)` reaches each
+        linked item, over the columns of `_linked_items`; k + 1 where it
+        does not. Built on first use and cached read-only: the graph never
+        changes, so a row never goes stale."""
+        key = (entity, k)
+        row = self._hop_rows.get(key)
+        if row is None:
+            items, column = self._linked_items()
+            row = np.full(len(items), k + 1, dtype=np.min_scalar_type(k + 1))
+            # deepest layer first, so a nearer hop overwrites a farther one
+            for hop, layer in reversed(list(enumerate(k_hop_sets(self, {entity}, k), start=1))):
+                cols = column[np.fromiter(layer, dtype=np.int64, count=len(layer))]
+                row[cols[cols >= 0]] = hop
+            row.setflags(write=False)
+            self._hop_rows[key] = row
+        return row
 
 
 def _parse_tsv(path: str, n_fields: int, what: str) -> list[tuple[str, ...]]:
@@ -170,13 +202,8 @@ def load_graph(triples_path: str, links_path: str) -> KnowledgeGraph:
     return build_graph(triple_rows, links)
 
 
-def k_hop_sets(g: KnowledgeGraph, seeds: Iterable[int], k: int) -> list[set[int]]:
-    """Layerwise k-hop expansion: layer l holds the tails of layer l-1.
-
-    Layer 0 is the seed set (not returned). Layers are plain unions of
-    neighbor sets and may revisit earlier nodes; this is not a
-    visited-pruned traversal.
-    """
+def _expansion_seeds(g: KnowledgeGraph, seeds: Iterable[int], k: int) -> set[int]:
+    """The seeds as a set, after the checks every k-hop expansion makes."""
     seeds = set(seeds)
     if not seeds:
         raise ValueError("k_hop_sets: empty seed set")
@@ -185,6 +212,17 @@ def k_hop_sets(g: KnowledgeGraph, seeds: Iterable[int], k: int) -> list[set[int]
     for s in seeds:
         if not (0 <= s < g.n_entities):
             raise IndexError(f"seed entity {s} out of range")
+    return seeds
+
+
+def k_hop_sets(g: KnowledgeGraph, seeds: Iterable[int], k: int) -> list[set[int]]:
+    """Layerwise k-hop expansion: layer l holds the tails of layer l-1.
+
+    Layer 0 is the seed set (not returned). Layers are plain unions of
+    neighbor sets and may revisit earlier nodes; this is not a
+    visited-pruned traversal.
+    """
+    seeds = _expansion_seeds(g, seeds, k)
     layers: list[set[int]] = []
     frontier = seeds
     for _ in range(k):
@@ -203,24 +241,23 @@ def candidate_items(g: KnowledgeGraph, seeds: Iterable[int], k: int, max_size: i
     Order is (hop of first discovery, item id ascending); items in
     `exclude` are removed before truncation to max_size. An empty result
     is the caller's signal to fall back to an unrestricted candidate set.
+
+    Layers are unions of neighbor sets, so layer l of a seed set is the
+    union of the seeds' own layer l, and the first hop over the seeds is
+    the minimum of their cached `item_hop_row`s.
     """
     if max_size < 1:
         raise ValueError(f"candidate_items: max_size must be >= 1, got {max_size}")
-    seeds = set(seeds)
-    layers = k_hop_sets(g, seeds, k)
-    excluded = set(exclude)
-    first_hop: dict[int, int] = {}
-    for hop, layer in enumerate(layers, start=1):
-        for ent in layer:
-            if ent not in first_hop:
-                first_hop[ent] = hop
-    ranked = []
-    for ent, hop in first_hop.items():
-        item = g.entity_to_item.get(ent)
-        if item is not None and item not in excluded:
-            ranked.append((hop, item))
-    ranked.sort()
-    ranked = ranked[:max_size]
-    return CandidateSet(items=tuple(it for _, it in ranked),
-                        hops=tuple(h for h, _ in ranked),
+    seeds = _expansion_seeds(g, seeds, k)
+    items, column = g._linked_items()
+    hop = np.minimum.reduce([g.item_hop_row(s, k) for s in seeds])
+    for item in exclude:
+        ent = g.item_to_entity.get(item)
+        if ent is not None:
+            hop[column[ent]] = k + 1
+    cols = np.flatnonzero(hop <= k)
+    # columns ascend by item id, so a stable sort by hop gives (hop, id) order
+    cols = cols[np.argsort(hop[cols], kind="stable")][:max_size]
+    return CandidateSet(items=tuple(items[c] for c in cols.tolist()),
+                        hops=tuple(hop[cols].tolist()),
                         seeds=frozenset(seeds))

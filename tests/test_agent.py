@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import kgrec.agent as agent_module
 from conftest import finite_difference, rel_error
 from kgrec.agent import (
     AgentParameters,
@@ -24,7 +25,6 @@ from kgrec.agent import (
     epsilon_at,
     epsilon_greedy,
     evaluate_policy,
-    fold_history_np,
     initialize_parameters,
     load_checkpoint,
     q_rows,
@@ -40,8 +40,12 @@ from kgrec.agent import (
 )
 from kgrec.autodiff import Tape, Tensor
 from kgrec.encoder import GcnParameters, GruParameters
+from kgrec.experiments import build_environment, curve_csv_text, ingest, parse_config_text
 from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
+from kgrec.synth import SynthSpec, generate, write_dataset
+from oracles import (candidate_items_bfs, compute_targets_per_sample, fold_history_np,
+                     sigmoid_masked)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -413,7 +417,33 @@ def test_build_candidates_selection_off_uses_catalog():
     assert build_candidates(env, graph, cfg, [0], {0}) == tuple(range(1, 8))
 
 
+def test_catalog_fallback_shares_item_ids():
+    env = _tiny_world()
+    env.items = np.arange(1000, 1008)
+    cfg = _cfg(candidate_selection=False)
+    first = build_candidates(env, None, cfg, [], {1003})
+    again = build_candidates(env, None, cfg, [], set())
+    assert first == (1000, 1001, 1002, 1004, 1005, 1006, 1007)
+    assert all(type(i) is int for i in again)
+    assert first[0] is again[0]  # one int object per item, not one per fallback
+    env.items = np.arange(4)  # a new items array is picked up
+    assert build_candidates(env, None, cfg, [], {2}) == (0, 1, 3)
+
+
 # -- targets and loss ----------------------------------------------------
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                        1e-310, -1e-310, 1e-300, -1e-300, 1e3, -1e3, 709.8, -745.2, 36.0, -36.0])
+    rng = np.random.default_rng(4)
+    x = np.concatenate([special, rng.standard_normal(997) * 12.0, rng.standard_normal(64)])
+    got = agent_module._sigmoid_np(x)
+    want = sigmoid_masked(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def _manual_source(rng, n_rows, dim):
@@ -453,6 +483,30 @@ def test_compute_targets_matches_manual_double_q():
                          terminal=False)]
     with pytest.raises(ValueError):
         compute_targets(broken, params, target, gamma=0.9)
+
+
+def test_compute_targets_folds_each_prefix_once(monkeypatch):
+    rng = np.random.default_rng(22)
+    dim = 3
+    params = AgentParameters(source=_manual_source(rng, 5, dim),
+                             gru=GruParameters.init(dim, rng), qnet=_qnet(rng, dim))
+    target = params.qnet.clone()
+    histories = [(), (0,), (0, 1), (0, 1), (0, 1, 2), (1, 0), (2,), (0,)]
+    batch = [Experience(observation=(), action=0, reward=0.1 * i, next_observation=h,
+                        next_candidates=(3, 4, 1), terminal=False)
+             for i, h in enumerate(histories)]
+    batch.append(Experience(observation=(0,), action=2, reward=1.0, next_observation=(0, 2),
+                            next_candidates=(), terminal=True))
+    want = compute_targets_per_sample(batch, params, target, 0.9, center=True)
+
+    steps = []
+    step_once = agent_module.gru_step_np
+    monkeypatch.setattr(agent_module, "gru_step_np",
+                        lambda *args: steps.append(args) or step_once(*args))
+    got = compute_targets(batch, params, target, 0.9, center=True)
+    assert np.array_equal(got, want)
+    # one step per distinct non-empty prefix: (0,) (0, 1) (0, 1, 2) (1,) (1, 0) (2,)
+    assert len(steps) == 6
 
 
 def _fd_batch():
@@ -586,6 +640,39 @@ def test_full_variant_trains_end_to_end():
     assert params.source.gcn is not None
     assert curve[0].interactions == 0
     assert curve[-1].interactions == 16
+
+
+def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
+    # the same training with the cached graph rows, the shared prefix folds
+    # and the unmasked sigmoid swapped for their plain reference forms
+    paths = write_dataset(str(tmp_path / "world"),
+                          generate(SynthSpec(clusters=3, items_per_cluster=8, users=60,
+                                             home_ratings_per_user=2, out_ratings_per_user=2,
+                                             also_viewed_rate=0.1, seed=5)))
+    config = parse_config_text(
+        "horizon = 12\nhops = 2\ncandidate_size = 5\nembedding_dim = 6\nhidden_width = 8\n"
+        "batch_size = 32\nbudget = 960\neval_every = 320\nlearning_rate = 0.01\n"
+        "transe_epochs = 10\nsim_dim = 6\nsim_epochs = 10\n"
+        + "".join(f"{key} = {path}\n" for key, path in paths.items()))
+    ds = ingest(config)
+    env = build_environment(ds, config)
+    cfg = config.train_config()
+    _, _, curve = train(env, ds.graph, cfg, seed=3)
+
+    found = []
+
+    def reference_candidates(*args, **kwargs):
+        cs = candidate_items_bfs(*args, **kwargs)
+        found.append(bool(cs))
+        return cs
+
+    monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
+    monkeypatch.setattr(agent_module, "compute_targets", compute_targets_per_sample)
+    monkeypatch.setattr(agent_module, "_sigmoid_np", sigmoid_masked)
+    _, _, reference = train(env, ds.graph, cfg, seed=3)
+    # both the linked candidates and the catalog fallback were exercised
+    assert any(found) and not all(found)
+    assert curve_csv_text(curve, 3) == curve_csv_text(reference, 3)
 
 
 # -- evaluation ----------------------------------------------------------

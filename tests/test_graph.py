@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgrec.graph import (CandidateSet, KnowledgeGraph, build_graph, candidate_items,
                          k_hop_sets, load_graph)
+from oracles import candidate_items_bfs
 
 
 def _random_graph(rng, max_entities=200):
@@ -85,6 +87,52 @@ def test_candidate_items_match_oracle():
         assert list(got.items) == [it for _, it in want], f"trial {trial}"
         assert list(got.hops) == [h for h, _ in want], f"trial {trial}"
         assert got.seeds == frozenset(seeds)
+
+
+@st.composite
+def _candidate_queries(draw):
+    """A random graph with string item tokens, and one candidate query on it
+    whose seeds may repeat and whose arguments may be out of range."""
+    n_ent = draw(st.integers(1, 25))
+    n_rel = draw(st.integers(1, 3))
+    triples = draw(st.lists(st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1),
+                                      st.integers(0, n_ent - 1)), min_size=1, max_size=3 * n_ent))
+    linked = draw(st.lists(st.integers(0, n_ent - 1), unique=True, max_size=n_ent))
+    # short tokens over a small alphabet, so "b" < "b0" < "b1" < "ba" orders differ from ints
+    tokens = draw(st.lists(st.text(alphabet="ab01", min_size=1, max_size=3), unique=True,
+                           min_size=len(linked), max_size=len(linked)))
+    g = KnowledgeGraph(np.array(triples), n_ent, n_rel, dict(zip(tokens, linked)))
+    seeds = draw(st.lists(st.integers(0, n_ent - 1), max_size=6))
+    seeds += draw(st.lists(st.sampled_from([-1, n_ent]), max_size=1))
+    k = draw(st.integers(-1, 4))
+    max_size = draw(st.integers(-1, 12))
+    exclude = draw(st.lists(st.sampled_from(tokens + ["zz"]), max_size=4))
+    return g, seeds, k, max_size, exclude
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        cs = fn(*args, **kwargs)
+    except (ValueError, IndexError) as err:
+        return type(err), str(err)
+    return repr(cs.items), repr(cs.hops), cs.seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_queries())
+def test_cached_candidate_items_match_bfs_oracle(query):
+    g, seeds, k, max_size, exclude = query
+    want = _outcome(candidate_items_bfs, g, seeds, k, max_size, exclude=exclude)
+    # the second call reads the rows the first one cached
+    for _ in range(2):
+        assert _outcome(candidate_items, g, seeds, k, max_size, exclude=exclude) == want
+    if k >= 1:
+        for s in set(seeds) & set(range(g.n_entities)):
+            row = g.item_hop_row(s, k)
+            assert g.item_hop_row(s, k) is row
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[...] = 0
 
 
 def test_candidate_set_truthiness_and_len():
