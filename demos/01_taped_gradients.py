@@ -15,12 +15,12 @@ rng = np.random.default_rng(0)
 w1 = Tensor(rng.standard_normal((4, 6)) * 0.3, requires_grad=True)
 b1 = Tensor(np.zeros(4), requires_grad=True)
 w2 = Tensor(rng.standard_normal((1, 4)) * 0.3, requires_grad=True)
-x = Tensor(rng.standard_normal(6))
+x = Tensor(rng.standard_normal((1, 6)))  # one input row
 
 
 def loss_value(tape):
-    h = tape.relu(tape.add(tape.matmul(w1, x), b1))
-    out = tape.matmul(w2, h)
+    h = tape.relu(tape.linear(x, w1, b1))
+    out = tape.linear(h, w2)
     return tape.sum(tape.mul(out, out))
 
 

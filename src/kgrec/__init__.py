@@ -11,18 +11,16 @@ from .autodiff import Tape, Tensor
 from .optim import AdamState, adam_step
 from .graph import (CandidateSet, KnowledgeGraph, build_graph, candidate_items,
                     k_hop_sets, load_graph)
-from .transe import (TranseConfig, load_embeddings, margin_loss, save_embeddings,
-                     transe_loss_and_grads, transe_pretrain, triple_distance)
-from .encoder import (GcnParameters, GruParameters, UserState, encode_rows, encode_state,
-                      gru_step, item_embedding, propagate_all)
+from .transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pretrain,
+                     triple_distance)
+from .encoder import GcnParameters, GruParameters, encode_rows, gru_step_rows, propagate_all
 from .simulator import (EpisodeState, SimulatorModel, StepRecord, fit_mf,
-                        instinctive_reward, load_simulator, mf_loss_and_grads,
-                        popularity_table, preference_counts, reset, save_simulator,
-                        split_users, step)
+                        instinctive_reward, mf_loss_and_grads, popularity_table,
+                        preference_counts, reset, split_users, step)
 from .agent import (AgentParameters, CurvePoint, Environment, Experience, Mlp,
                     QNetParameters, ReplayBuffer, TrainConfig, double_q_targets,
                     epsilon_greedy, evaluate_policy, initialize_parameters,
-                    load_checkpoint, q_value, save_checkpoint, soft_update, td_loss,
+                    load_checkpoint, q_rows, save_checkpoint, soft_update, td_loss,
                     train, variant_flags)
 from .metrics import (EvaluationReport, average_reward, build_report, episode_reward,
                       precision_at_horizon, recall_at_horizon, wilcoxon_signed_rank)
@@ -35,20 +33,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AgentParameters", "CandidateSet", "CurvePoint", "Dataset",
-    "EpisodeState", "Environment", "EvaluationReport", "Experience",
-    "ExperimentConfig", "GcnParameters", "GruParameters", "KnowledgeGraph", "Mlp",
-    "QNetParameters", "ReplayBuffer", "RunArtifacts", "SimulatorModel", "StepRecord",
-    "SynthData", "SynthSpec", "Tape", "Tensor", "TrainConfig", "TranseConfig",
-    "UserState", "adam_step", "average_reward", "build_environment", "build_graph",
-    "build_report", "candidate_items", "compare", "double_q_targets", "encode_rows",
-    "encode_state", "episode_reward", "epsilon_greedy", "evaluate_policy", "fit_mf",
-    "generate", "gru_step", "ingest", "initialize_parameters", "instinctive_reward",
-    "interactions_to_threshold", "item_embedding", "k_hop_sets", "load_checkpoint",
-    "load_embeddings", "load_graph", "load_simulator", "margin_loss",
-    "mf_loss_and_grads", "parse_config", "popularity_table", "precision_at_horizon",
-    "preference_counts", "propagate_all", "q_value", "recall_at_horizon", "reset",
-    "run_experiment", "save_checkpoint", "save_embeddings", "save_simulator",
-    "soft_update", "split_users", "step", "sweep_candidates", "td_loss", "train",
+    "EpisodeState", "Environment", "EvaluationReport", "Experience", "ExperimentConfig",
+    "GcnParameters", "GruParameters", "KnowledgeGraph", "Mlp", "QNetParameters",
+    "ReplayBuffer", "RunArtifacts", "SimulatorModel", "StepRecord", "SynthData",
+    "SynthSpec", "Tape", "Tensor", "TrainConfig", "TranseConfig", "adam_step",
+    "average_reward", "build_environment", "build_graph", "build_report",
+    "candidate_items", "compare", "double_q_targets", "encode_rows", "episode_reward",
+    "epsilon_greedy", "evaluate_policy", "fit_mf", "generate", "gru_step_rows",
+    "ingest", "initialize_parameters", "instinctive_reward",
+    "interactions_to_threshold", "k_hop_sets", "load_checkpoint", "load_graph",
+    "margin_loss", "mf_loss_and_grads", "parse_config", "popularity_table",
+    "precision_at_horizon", "preference_counts", "propagate_all", "q_rows",
+    "recall_at_horizon", "reset", "run_experiment", "save_checkpoint", "soft_update",
+    "split_users", "step", "sweep_candidates", "td_loss", "train",
     "transe_loss_and_grads", "transe_pretrain", "triple_distance", "variant_flags",
     "wilcoxon_signed_rank", "write_dataset",
 ]

@@ -1,38 +1,26 @@
 """Dueling double-DQN agent over graph-aware item and state encodings.
 
-The differentiable training path runs on the autodiff tape; action
-selection, target computation and evaluation run on plain-numpy forward
-passes of the same parameters (the tests pin both paths to equality).
+The TD loss is taped and batched over rows (encode_rows, q_rows). Action
+selection, target computation and evaluation run plain-numpy forward
+passes of the same parameters (gru_step_np, score_candidates); the tests
+hold them equal to the taped forms.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, glorot_uniform, sigmoid
 from .encoder import GcnParameters, GruParameters, encode_rows, propagate_all
 from .graph import KnowledgeGraph, candidate_items
 from .optim import AdamState, adam_step
 from .simulator import SimulatorModel, fit_mf, preference_counts, reset, step
+from .textio import atomic_open
 from .transe import TranseConfig, transe_pretrain
-
-
-def _uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: the same
-    # operations per element as the two-sided masked form, without its masks
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -46,9 +34,9 @@ class Mlp:
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, rng: np.random.Generator) -> "Mlp":
-        return cls(w1=Tensor(_uniform(rng, hidden, in_dim), requires_grad=True),
+        return cls(w1=glorot_uniform(rng, hidden, in_dim),
                    b1=Tensor(np.zeros(hidden), requires_grad=True),
-                   w2=Tensor(_uniform(rng, 1, hidden), requires_grad=True),
+                   w2=glorot_uniform(rng, 1, hidden),
                    b2=Tensor(np.zeros(1), requires_grad=True))
 
     def apply(self, x: Tensor, tape: Tape) -> Tensor:
@@ -278,14 +266,6 @@ class Environment:
 # -- Q values ----------------------------------------------------------
 
 
-def q_value(state_vec: Tensor, item_vec: Tensor, qnet: QNetParameters, tape: Tape) -> Tensor:
-    """Scalar Q as the plain sum of the value and advantage heads."""
-    vin = state_vec if qnet.value_input == "state" else item_vec
-    v = qnet.value.apply(vin, tape)
-    a = qnet.advantage.apply(tape.concat(state_vec, item_vec), tape)
-    return tape.reshape(tape.add(v, a), ())
-
-
 def q_rows(states: Tensor, items: Tensor, qnet: QNetParameters, tape: Tape) -> Tensor:
     """Batched Q for row-aligned state/item matrices; returns shape (B,)."""
     vin = states if qnet.value_input == "state" else items
@@ -362,9 +342,10 @@ def double_q_targets(rewards, terminals, online_q, target_q, gamma: float) -> np
 
 
 def gru_step_np(gru: GruParameters, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inference-path GRU update, numerically identical to the taped one."""
-    z = _sigmoid_np(gru.w_update.data @ x + gru.u_update.data @ h + gru.b_update.data)
-    r = _sigmoid_np(gru.w_reset.data @ x + gru.u_reset.data @ h + gru.b_reset.data)
+    """Inference-path GRU update of one state; gru_step_rows on one row gives
+    the same values up to the order of the bias addition."""
+    z = sigmoid(gru.w_update.data @ x + gru.u_update.data @ h + gru.b_update.data)
+    r = sigmoid(gru.w_reset.data @ x + gru.u_reset.data @ h + gru.b_reset.data)
     c = np.tanh(gru.w_cand.data @ x + gru.u_cand.data @ (r * h) + gru.b_cand.data)
     return (1.0 - z) * h + z * c
 
@@ -504,6 +485,14 @@ def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: T
     return params, qnet.clone()
 
 
+def _fold_hit(params: AgentParameters, matrix: np.ndarray, hidden: np.ndarray,
+              record) -> np.ndarray:
+    """The session state after a step: one GRU step on its item on a hit."""
+    if not record.hit:
+        return hidden
+    return gru_step_np(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
+
+
 def run_training_episode(params: AgentParameters, env: Environment,
                          graph: KnowledgeGraph | None, cfg: TrainConfig, user: int,
                          epsilon: float, rng: np.random.Generator,
@@ -513,9 +502,7 @@ def run_training_episode(params: AgentParameters, env: Environment,
     matrix = params.item_matrix_data()
     state = reset(env.model, int(user), env.popularity)
     first = state.records[0]
-    hidden = np.zeros(cfg.embedding_dim)
-    if first.hit:
-        hidden = gru_step_np(params.gru, hidden, matrix[params.source.rows([first.item])[0]])
+    hidden = _fold_hit(params, matrix, np.zeros(cfg.embedding_dim), first)
     candidates = () if state.done else build_candidates(env, graph, cfg, state.clicked,
                                                         state.recommended)
     buffer.add(Experience(observation=(), action=first.item, reward=first.reward,
@@ -527,8 +514,7 @@ def run_training_episode(params: AgentParameters, env: Environment,
         scores = score_candidates(params.qnet, hidden, vecs, cfg.advantage_center)
         item = epsilon_greedy(candidates, scores, epsilon, rng)
         reward, _ = step(state, env.model, item)
-        if state.records[-1].hit:
-            hidden = gru_step_np(params.gru, hidden, matrix[params.source.rows([item])[0]])
+        hidden = _fold_hit(params, matrix, hidden, state.records[-1])
         next_candidates = () if state.done else build_candidates(env, graph, cfg, state.clicked,
                                                                  state.recommended)
         buffer.add(Experience(observation=obs, action=item, reward=reward,
@@ -555,9 +541,8 @@ def evaluate_policy(params: AgentParameters | None, env: Environment,
     for user in env.test_users:
         state = reset(env.model, int(user), env.popularity)
         hidden = np.zeros(cfg.embedding_dim)
-        if mode == "greedy" and state.records[0].hit:
-            hidden = gru_step_np(params.gru, hidden,
-                                 matrix[params.source.rows([state.records[0].item])[0]])
+        if mode == "greedy":
+            hidden = _fold_hit(params, matrix, hidden, state.records[0])
         while not state.done:
             if mode == "random":
                 unseen = [i for i in env.item_ids() if i not in state.recommended]
@@ -567,9 +552,8 @@ def evaluate_policy(params: AgentParameters | None, env: Environment,
                 item = select_action(params, hidden, candidates, 0.0, None,
                                      cfg.advantage_center)
             step(state, env.model, item)
-            if mode == "greedy" and state.records[-1].hit:
-                hidden = gru_step_np(params.gru, hidden,
-                                     matrix[params.source.rows([item])[0]])
+            if mode == "greedy":
+                hidden = _fold_hit(params, matrix, hidden, state.records[-1])
         logs.append(state.records)
     return logs
 
@@ -665,8 +649,7 @@ def save_checkpoint(path: str, params: AgentParameters, target: QNetParameters,
     for name, tensor in zip(_GRU_FIELDS, params.gru.tensors()):
         arrays[f"gru_{name}"] = tensor.data
     for prefix, net in (("q", params.qnet), ("t", target)):
-        for name, tensor in zip(("vw1", "vb1", "vw2", "vb2", "aw1", "ab1", "aw2", "ab2"),
-                                net.tensors()):
+        for name, tensor in zip(_HEAD_FIELDS, net.tensors()):
             arrays[f"{prefix}_{name}"] = tensor.data
     meta = {
         "config": asdict(cfg),
@@ -677,20 +660,12 @@ def save_checkpoint(path: str, params: AgentParameters, target: QNetParameters,
         "base_trainable": params.source.base.requires_grad,
     }
     arrays["meta"] = np.array(json.dumps(meta))
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
-_GRU_FIELDS = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
-               "w_cand", "u_cand", "b_cand")
+_GRU_FIELDS = tuple(f.name for f in fields(GruParameters))
+_HEAD_FIELDS = ("vw1", "vb1", "vw2", "vb2", "aw1", "ab1", "aw2", "ab2")
 
 
 def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
@@ -715,8 +690,7 @@ def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
                               for name in _GRU_FIELDS))
 
         def heads(prefix: str, trainable: bool) -> QNetParameters:
-            names = ("vw1", "vb1", "vw2", "vb2", "aw1", "ab1", "aw2", "ab2")
-            ts = [Tensor(data[f"{prefix}_{n}"], requires_grad=trainable) for n in names]
+            ts = [Tensor(data[f"{prefix}_{n}"], requires_grad=trainable) for n in _HEAD_FIELDS]
             return QNetParameters(value=Mlp(*ts[:4]), advantage=Mlp(*ts[4:]),
                                   value_input=cfg.value_input)
 

@@ -1,10 +1,15 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-The op set is deliberately small: matrix products, the elementwise
-functions used by the encoders and Q heads, row gathering and averaging
-for graph aggregation, and concatenation. There is no general
-broadcasting; shapes must match exactly except where an op documents
-otherwise.
+The op set is what the training path uses: row-batched linear maps,
+products by a constant (sparse) adjacency, the elementwise functions of
+the GCN, GRU and Q heads, row gathering, column concatenation, reshapes
+and scalar reductions. There is no general broadcasting; shapes must
+match exactly except where an op documents otherwise. Every tensor and
+op result must be finite.
+
+`sigmoid` is the package's one logistic function (the taped op and the
+plain-numpy inference GRU both call it), and `glorot_uniform` its one
+weight initializer.
 """
 
 from __future__ import annotations
@@ -12,15 +17,10 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sparse
-
-# Validate values at op boundaries. Cheap at the sizes this library
-# targets; flip off for long frozen-policy rollouts if profiling says so.
-CHECK_FINITE = True
 
 
 def _checked(name: str, out: np.ndarray) -> np.ndarray:
-    if CHECK_FINITE and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"{name}: non-finite values in result")
     return out
 
@@ -37,7 +37,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.array(values, dtype=np.float64)
-        if CHECK_FINITE and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise FloatingPointError("tensor values must be finite")
         self.data = data
         self.requires_grad = bool(requires_grad)
@@ -51,8 +51,19 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, without overflow for inputs of either sign."""
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: the same
+    # operations per element as the two-sided masked form, without its masks
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """A trainable (rows, cols) weight drawn uniformly from
+    +-sqrt(6 / (rows + cols))."""
+    bound = np.sqrt(6.0 / (rows + cols))
+    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
 
 _Pull = tuple[Tensor, Callable[[np.ndarray], np.ndarray]]
@@ -83,28 +94,6 @@ class Tape:
 
     # -- ops ----------------------------------------------------------
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Matrix product; supports 2Dx2D, 2Dx1D and 1Dx2D operands."""
-        ad, bd = a.data, b.data
-        if ad.ndim == 2 and bd.ndim == 2:
-            if ad.shape[1] != bd.shape[0]:
-                raise ValueError(f"matmul: inner dimensions disagree: {ad.shape} @ {bd.shape}")
-            out = ad @ bd
-            pulls = [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)]
-        elif ad.ndim == 2 and bd.ndim == 1:
-            if ad.shape[1] != bd.shape[0]:
-                raise ValueError(f"matmul: inner dimensions disagree: {ad.shape} @ {bd.shape}")
-            out = ad @ bd
-            pulls = [(a, lambda g: np.outer(g, bd)), (b, lambda g: ad.T @ g)]
-        elif ad.ndim == 1 and bd.ndim == 2:
-            if ad.shape[0] != bd.shape[0]:
-                raise ValueError(f"matmul: inner dimensions disagree: {ad.shape} @ {bd.shape}")
-            out = ad @ bd
-            pulls = [(a, lambda g: bd @ g), (b, lambda g: np.outer(ad, g))]
-        else:
-            raise ValueError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
-        return self._emit("matmul", out, pulls)
-
     def matmul_const(self, a_const, x: Tensor) -> Tensor:
         """Product by a constant matrix (ndarray or scipy sparse); no gradient into the constant."""
         out = a_const @ x.data
@@ -112,26 +101,17 @@ class Tape:
         return self._emit("matmul_const", np.asarray(out), [(x, lambda g: np.asarray(at @ g))])
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-        """x @ w.T (+ b). x is (n,) or (rows, n); w is (m, n); b is (m,)."""
+        """x @ w.T (+ b) for x (rows, n), w (m, n) and b (m,)."""
         xd, wd = x.data, w.data
-        if wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
+        if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
             raise ValueError(f"linear: shapes disagree: x {xd.shape}, w {wd.shape}")
-        if xd.ndim == 1:
-            out = wd @ xd
-            pulls = [(x, lambda g: wd.T @ g), (w, lambda g: np.outer(g, xd))]
-        elif xd.ndim == 2:
-            out = xd @ wd.T
-            pulls = [(x, lambda g: g @ wd), (w, lambda g: g.T @ xd)]
-        else:
-            raise ValueError(f"linear: unsupported input rank {xd.shape}")
+        out = xd @ wd.T
+        pulls = [(x, lambda g: g @ wd), (w, lambda g: g.T @ xd)]
         if b is not None:
             if b.data.shape != (wd.shape[0],):
                 raise ValueError(f"linear: bias shape {b.data.shape} does not match w {wd.shape}")
             out = out + b.data
-            if xd.ndim == 1:
-                pulls.append((b, lambda g: g))
-            else:
-                pulls.append((b, lambda g: g.sum(axis=0)))
+            pulls.append((b, lambda g: g.sum(axis=0)))
         return self._emit("linear", out, pulls)
 
     def _binary(self, name, a, b, fwd, da, db):
@@ -165,21 +145,12 @@ class Tape:
         return self._emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        xd = x.data
-        out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+        out = sigmoid(x.data)
         return self._emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
 
     def tanh(self, x: Tensor) -> Tensor:
         out = np.tanh(x.data)
         return self._emit("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
-
-    def concat(self, a: Tensor, b: Tensor) -> Tensor:
-        """Concatenate two 1-D tensors."""
-        if a.data.ndim != 1 or b.data.ndim != 1:
-            raise ValueError(f"concat: expects 1-D operands, got {a.data.shape}, {b.data.shape}")
-        split = a.data.shape[0]
-        out = np.concatenate([a.data, b.data])
-        return self._emit("concat", out, [(a, lambda g: g[:split]), (b, lambda g: g[split:])])
 
     def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
         """Concatenate two 2-D tensors along columns."""
@@ -188,20 +159,6 @@ class Tape:
         split = a.data.shape[1]
         out = np.concatenate([a.data, b.data], axis=1)
         return self._emit("concat_cols", out, [(a, lambda g: g[:, :split]), (b, lambda g: g[:, split:])])
-
-    def gather_row(self, x: Tensor, index: int) -> Tensor:
-        if x.data.ndim != 2:
-            raise ValueError(f"gather_row: expects a matrix, got {x.data.shape}")
-        if not (0 <= index < x.data.shape[0]):
-            raise IndexError(f"gather_row: row {index} out of range for {x.data.shape}")
-        xd = x.data
-
-        def pull(g):
-            out = np.zeros_like(xd)
-            out[index] = g
-            return out
-
-        return self._emit("gather_row", xd[index].copy(), [(x, pull)])
 
     def gather_rows(self, x: Tensor, indices) -> Tensor:
         """Select rows by an integer array; repeated rows accumulate gradient."""
@@ -218,29 +175,6 @@ class Tape:
             return out
 
         return self._emit("gather_rows", xd[idx], [(x, pull)])
-
-    def mean_rows(self, x: Tensor) -> Tensor:
-        """Mean over the rows of a matrix; the empty matrix is rejected."""
-        if x.data.ndim != 2:
-            raise ValueError(f"mean_rows: expects a matrix, got {x.data.shape}")
-        n = x.data.shape[0]
-        if n == 0:
-            raise ValueError("mean_rows: empty matrix")
-        return self._emit("mean_rows", x.data.mean(axis=0), [(x, lambda g: np.tile(g / n, (n, 1)))])
-
-    def mean_of(self, tensors: list[Tensor]) -> Tensor:
-        """Elementwise mean of same-shaped tensors (rows given as a list)."""
-        if not tensors:
-            raise ValueError("mean_of: empty input")
-        shape = tensors[0].data.shape
-        for t in tensors:
-            if t.data.shape != shape:
-                raise ValueError(f"mean_of: shapes disagree: {shape} vs {t.data.shape}")
-        n = len(tensors)
-        out = tensors[0].data.copy()
-        for t in tensors[1:]:
-            out += t.data
-        return self._emit("mean_of", out / n, [(t, lambda g: g / n) for t in tensors])
 
     def sum(self, x: Tensor) -> Tensor:
         xd = x.data

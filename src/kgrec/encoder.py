@@ -1,23 +1,20 @@
 """Graph-convolutional item embeddings and the recurrent user-state network.
 
-Two equivalent GCN paths exist: a per-item receptive-field unroll
-(item_embedding) and a whole-graph propagation (propagate_all) used by
-the batched trainer. They compute the same values; the tests pin that.
+The GCN is one whole-graph propagation (propagate_all), used by training
+and, untaped, by inference. The taped GRU steps batches of rows
+(gru_step_rows), folded over click histories by encode_rows; inference
+steps one state at a time with `agent.gru_step_np`. Per-item and one-row
+reference forms live with the tests, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, glorot_uniform
 from .graph import KnowledgeGraph
-
-
-def _uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 @dataclass
@@ -32,8 +29,7 @@ class GcnParameters:
 
     @classmethod
     def init(cls, dim: int, hops: int, rng: np.random.Generator) -> "GcnParameters":
-        layers = [(Tensor(_uniform(rng, dim, dim), requires_grad=True),
-                   Tensor(_uniform(rng, dim, dim), requires_grad=True))
+        layers = [(glorot_uniform(rng, dim, dim), glorot_uniform(rng, dim, dim))
                   for _ in range(hops)]
         return cls(layers=layers)
 
@@ -62,7 +58,7 @@ class GruParameters:
     @classmethod
     def init(cls, dim: int, rng: np.random.Generator) -> "GruParameters":
         def w():
-            return Tensor(_uniform(rng, dim, dim), requires_grad=True)
+            return glorot_uniform(rng, dim, dim)
 
         def b():
             return Tensor(np.zeros(dim), requires_grad=True)
@@ -72,66 +68,14 @@ class GruParameters:
                    w_cand=w(), u_cand=w(), b_cand=b())
 
     def tensors(self) -> list[Tensor]:
-        return [self.w_update, self.u_update, self.b_update,
-                self.w_reset, self.u_reset, self.b_reset,
-                self.w_cand, self.u_cand, self.b_cand]
-
-
-@dataclass
-class UserState:
-    """Encoded session state: hidden vector after folding the clicked history."""
-
-    hidden: np.ndarray
-    step: int
-    history: tuple
-
-
-def aggregate_neighbors(g: KnowledgeGraph, embeddings: Tensor, entity: int, tape: Tape) -> Tensor:
-    """Mean of the neighbor rows of `embeddings`; zero vector if no neighbors."""
-    nbr = g.neighbors(entity)
-    if nbr.size == 0:
-        return Tensor(np.zeros(embeddings.shape[1]))
-    return tape.mean_rows(tape.gather_rows(embeddings, nbr))
-
-
-def integrate(e_neighborhood: Tensor, e_self: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
-    """One graph-convolution step: relu(W e_N + B e_self)."""
-    return tape.relu(tape.add(tape.matmul(w, e_neighborhood), tape.matmul(b, e_self)))
-
-
-def item_embedding(g: KnowledgeGraph, item, gcn: GcnParameters, base: Tensor, tape: Tape) -> Tensor:
-    """Receptive-field unroll of the final-hop embedding of one item."""
-    entity = g.item_to_entity.get(item)
-    if entity is None:
-        raise KeyError(f"item {item!r} has no linked entity")
-    memo: dict[tuple[int, int], Tensor] = {}
-
-    def emb(node: int, hop: int) -> Tensor:
-        key = (node, hop)
-        if key in memo:
-            return memo[key]
-        if hop == 0:
-            out = tape.gather_row(base, node)
-        else:
-            w, b = gcn.layers[hop - 1]
-            nbr = g.neighbors(node)
-            if nbr.size == 0:
-                e_n = Tensor(np.zeros(base.shape[1]))
-            else:
-                e_n = tape.mean_of([emb(int(t), hop - 1) for t in nbr])
-            out = integrate(e_n, emb(node, hop - 1), w, b, tape)
-        memo[key] = out
-        return out
-
-    return emb(int(entity), gcn.hops)
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def propagate_all(g: KnowledgeGraph, base: Tensor, gcn: GcnParameters, tape: Tape) -> Tensor:
     """Final-hop embeddings for every entity at once.
 
-    Equivalent to item_embedding row-by-row: each hop applies
-    relu(neighbor-mean @ W.T + previous @ B.T) with zero aggregate for
-    childless entities.
+    Each hop applies relu(neighbor-mean @ W.T + previous @ B.T), with a
+    zero aggregate for entities without successors.
     """
     out = base
     adj = g.mean_adjacency
@@ -141,19 +85,8 @@ def propagate_all(g: KnowledgeGraph, base: Tensor, gcn: GcnParameters, tape: Tap
     return out
 
 
-def gru_step(p: GruParameters, h_prev: Tensor, item_vec: Tensor, tape: Tape) -> Tensor:
-    """One gated update of the session state by a clicked-item vector."""
-    z = tape.sigmoid(tape.add(tape.add(tape.matmul(p.w_update, item_vec),
-                                       tape.matmul(p.u_update, h_prev)), p.b_update))
-    r = tape.sigmoid(tape.add(tape.add(tape.matmul(p.w_reset, item_vec),
-                                       tape.matmul(p.u_reset, h_prev)), p.b_reset))
-    h_cand = tape.tanh(tape.add(tape.add(tape.matmul(p.w_cand, item_vec),
-                                         tape.matmul(p.u_cand, tape.mul(r, h_prev))), p.b_cand))
-    return tape.add(tape.mul(tape.scale(z, -1.0, 1.0), h_prev), tape.mul(z, h_cand))
-
-
 def gru_step_rows(p: GruParameters, h_prev: Tensor, items: Tensor, tape: Tape) -> Tensor:
-    """gru_step applied to a batch of rows (B, d)."""
+    """One gated update of B session states (B, d) by B clicked-item rows."""
     z = tape.sigmoid(tape.add(tape.linear(items, p.w_update, p.b_update),
                               tape.linear(h_prev, p.u_update)))
     r = tape.sigmoid(tape.add(tape.linear(items, p.w_reset, p.b_reset),
@@ -161,16 +94,6 @@ def gru_step_rows(p: GruParameters, h_prev: Tensor, items: Tensor, tape: Tape) -
     h_cand = tape.tanh(tape.add(tape.linear(items, p.w_cand, p.b_cand),
                                 tape.linear(tape.mul(r, h_prev), p.u_cand)))
     return tape.add(tape.mul(tape.scale(z, -1.0, 1.0), h_prev), tape.mul(z, h_cand))
-
-
-def encode_state(history, g: KnowledgeGraph, gcn: GcnParameters, gru: GruParameters,
-                 base: Tensor, tape: Tape) -> UserState:
-    """Fold the clicked history through the GRU from a zero initial state."""
-    h: Tensor = Tensor(np.zeros(gru.dim))
-    for item in history:
-        vec = item_embedding(g, item, gcn, base, tape)
-        h = gru_step(gru, h, vec, tape)
-    return UserState(hidden=h.data.copy(), step=len(history), history=tuple(history))
 
 
 def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,

@@ -16,9 +16,11 @@ import numpy as np
 
 from .agent import (CurvePoint, Environment, TrainConfig, evaluate_policy,
                     save_checkpoint, train)
-from .graph import KnowledgeGraph, build_graph, _parse_tsv
+from .graph import KnowledgeGraph, build_graph, read_links, read_triples
 from .metrics import EvaluationReport, build_report, wilcoxon_signed_rank
 from .simulator import fit_mf, popularity_table, split_users
+from .textio import (atomic_write, csv_text, field_casters, flat_text, parse_flat, read_csv,
+                     read_tsv)
 
 logger = logging.getLogger("kgrec.experiments")
 
@@ -96,7 +98,6 @@ class ExperimentConfig:
             raise ValueError("budget and eval_every must be positive")
         if self.min_user_interactions < 0:
             raise ValueError("min_user_interactions must be >= 0")
-        _parse_size(self.candidate_size)
         parse_sizes(self.candidate_sizes)
         for path in (self.ratings, self.triples, self.links):
             if path and not os.path.exists(path):
@@ -104,43 +105,21 @@ class ExperimentConfig:
         self.train_config().validate()
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            gamma=self.gamma, epsilon_start=self.epsilon_start, epsilon_end=self.epsilon_end,
-            epsilon_decay_fraction=self.epsilon_decay_fraction, tau=self.tau,
-            batch_size=self.batch_size, buffer_capacity=self.buffer_capacity,
-            learning_rate=self.learning_rate, hops=self.hops,
-            candidate_size=_parse_size(self.candidate_size), horizon=self.horizon,
-            embedding_dim=self.embedding_dim, hidden_width=self.hidden_width,
-            updates_per_episode=self.updates_per_episode, value_input=self.value_input,
-            advantage_center=self.advantage_center, kg_embeddings=self.kg_embeddings,
-            gcn_propagation=self.gcn_propagation, candidate_selection=self.candidate_selection,
-            interaction_budget=self.budget, eval_every=self.eval_every,
-            eval_gamma=self.eval_gamma, transe_epochs=self.transe_epochs,
-            transe_margin=self.transe_margin, transe_negatives=self.transe_negatives,
-            transe_lr=self.transe_lr, init_mf_epochs=self.init_mf_epochs,
-            init_mf_lr=self.init_mf_lr, init_mf_reg=self.init_mf_reg)
+        """The agent's settings: each TrainConfig field from the field of the
+        same name, except interaction_budget from `budget`, with
+        candidate_size parsed."""
+        values = {f.name: getattr(self, f.name) for f in fields(TrainConfig)
+                  if f.name != "interaction_budget"}
+        values.update(interaction_budget=self.budget,
+                      candidate_size=_parse_size(self.candidate_size))
+        return TrainConfig(**values)
 
     def canonical_text(self) -> str:
         """Stable `key = value` rendering; parsing it back round-trips."""
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            lines.append(f"{f.name} = {_format_value(getattr(self, f.name))}")
-        return "\n".join(lines) + "\n"
+        return flat_text(sorted((f.name, getattr(self, f.name)) for f in fields(self)))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 def _parse_size(token: str) -> int | None:
@@ -160,50 +139,13 @@ def parse_sizes(text: str) -> list[int | None]:
     return sizes
 
 
-_BOOL_TOKENS = {"true": True, "false": False, "1": True, "0": False,
-                "yes": True, "no": False}
-
 _PATH_KEYS = ("ratings", "triples", "links", "out_dir")
-
-
-def _cast(name: str, kind: str, value: str):
-    if kind in ("float | None", "int | None") and value.lower() in ("none", "auto"):
-        return None
-    try:
-        if kind == "int":
-            return int(value)
-        if kind in ("float", "float | None"):
-            return float(value)
-        if kind == "bool":
-            token = value.lower()
-            if token not in _BOOL_TOKENS:
-                raise ValueError
-            return _BOOL_TOKENS[token]
-        if kind == "tuple[int, ...]":
-            return tuple(int(tok) for tok in value.split(",") if tok.strip())
-        return value
-    except ValueError:
-        raise ValueError(f"cannot parse {value!r} for key {name!r}") from None
 
 
 def parse_config_text(text: str, base_dir: str = ".", source: str = "<config>") -> ExperimentConfig:
     """Parse flat `key = value` config text. Unknown keys are rejected;
     relative dataset paths resolve against base_dir."""
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in kinds:
-            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _cast(key, kinds[key], value)
+    values = parse_flat(text, field_casters(ExperimentConfig), source)
     for key in _PATH_KEYS:
         if key in values and values[key]:
             # absolute so the snapshot re-parses from any directory
@@ -246,21 +188,14 @@ def ingest(config: ExperimentConfig) -> Dataset:
     excluded from graph-based candidate selection.
     """
     rows = []
-    with open(config.ratings, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise ValueError(f"{config.ratings}:{lineno}: expected "
-                                 f"user<TAB>item<TAB>rating[<TAB>timestamp], got {len(parts)} fields")
-            try:
-                rating = float(parts[2])
-                stamp = float(parts[3]) if len(parts) == 4 else 0.0
-            except ValueError:
-                raise ValueError(f"{config.ratings}:{lineno}: non-numeric rating or timestamp") from None
-            rows.append((stamp, lineno, parts[0], parts[1], rating))
+    what = "user<TAB>item<TAB>rating[<TAB>timestamp]"
+    for lineno, parts in read_tsv(config.ratings, (3, 4), what):
+        try:
+            rating = float(parts[2])
+            stamp = float(parts[3]) if len(parts) == 4 else 0.0
+        except ValueError:
+            raise ValueError(f"{config.ratings}:{lineno}: non-numeric rating or timestamp") from None
+        rows.append((stamp, lineno, parts[0], parts[1], rating))
     if not rows:
         raise ValueError(f"{config.ratings}: no interactions")
     rows.sort(key=lambda row: (row[0], row[1]))
@@ -292,19 +227,15 @@ def ingest(config: ExperimentConfig) -> Dataset:
     linked = np.empty(0, dtype=np.int64)
     unlinked_count = len(item_ids)
     if config.triples and config.links:
-        triple_rows = _parse_tsv(config.triples, 3, "a triple")
-        link_rows = _parse_tsv(config.links, 2, "a link")
+        triples = read_triples(config.triples)
         links: dict[int, str] = {}
-        for item_tok, ent_tok in link_rows:
+        for item_tok, ent_tok in read_links(config.links).items():
             dense = item_ids.get(item_tok)
             if dense is None:
                 logger.info("link for item %r ignored: item absent from interactions", item_tok)
-                continue
-            if dense in links and links[dense] != ent_tok:
-                raise ValueError(f"link map not a function: item {item_tok!r} "
-                                 "linked to two entities")
-            links[dense] = ent_tok
-        graph = build_graph(triple_rows, links)
+            else:
+                links[dense] = ent_tok
+        graph = build_graph(triples, links)
         linked = np.asarray(sorted(links), dtype=np.int64)
         unlinked_count = len(item_ids) - len(links)
         if unlinked_count:
@@ -329,11 +260,11 @@ def build_environment(ds: Dataset, config: ExperimentConfig) -> Environment:
     """
     all_users = np.arange(ds.n_users)
     train_users, test_users = split_users(all_users, config.train_fraction, seed=config.seed)
+    train_mask = np.isin(ds.users, train_users)
     if config.simulator_fit_scope == "train":
-        mask = np.isin(ds.users, train_users)
-        if not mask.any():
+        if not train_mask.any():
             raise ValueError("no training-user interactions to fit the simulator on")
-        fit_u, fit_i, fit_r = ds.users[mask], ds.items[mask], ds.ratings[mask]
+        fit_u, fit_i, fit_r = ds.users[train_mask], ds.items[train_mask], ds.ratings[train_mask]
     else:
         fit_u, fit_i, fit_r = ds.users, ds.items, ds.ratings
     model = fit_mf(fit_u, fit_i, fit_r, n_users=ds.n_users, n_items=ds.n_items,
@@ -346,7 +277,6 @@ def build_environment(ds: Dataset, config: ExperimentConfig) -> Environment:
     if len(universe) < config.horizon:
         raise ValueError(f"action universe has {len(universe)} items; "
                          f"episodes need at least horizon={config.horizon}")
-    train_mask = np.isin(ds.users, train_users)
     if not train_mask.any():
         raise ValueError("empty training split")
     popularity = popularity_table(ds.items[train_mask], restrict_to=universe)
@@ -373,26 +303,18 @@ class RunArtifacts:
     curve: list[CurvePoint] = field(default_factory=list)
 
 
+CURVE_HEADER = "interactions,reward,precision,recall,seed"
+
+
 def curve_csv_text(curve: list[CurvePoint], seed: int) -> str:
-    lines = ["interactions,reward,precision,recall,seed"]
-    for pt in curve:
-        lines.append(f"{pt.interactions},{pt.reward!r},{pt.precision!r},{pt.recall!r},{seed}")
-    return "\n".join(lines) + "\n"
+    return csv_text(CURVE_HEADER, ((pt.interactions, pt.reward, pt.precision, pt.recall, seed)
+                                   for pt in curve))
 
 
 def read_curve(path: str) -> list[CurvePoint]:
-    points = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "interactions,reward,precision,recall,seed":
-            raise ValueError(f"{path}: unexpected curve header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            inter, reward, precision, recall, _ = line.strip().split(",")
-            points.append(CurvePoint(interactions=int(inter), reward=float(reward),
-                                     precision=float(precision), recall=float(recall)))
-    return points
+    return [CurvePoint(interactions=int(inter), reward=float(reward),
+                       precision=float(precision), recall=float(recall))
+            for inter, reward, precision, recall, _ in read_csv(path, CURVE_HEADER)]
 
 
 def interactions_to_threshold(curve: list[CurvePoint], threshold: float) -> int | None:
@@ -404,13 +326,6 @@ def interactions_to_threshold(curve: list[CurvePoint], threshold: float) -> int 
     return None
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def run_single_seed(env: Environment, graph: KnowledgeGraph | None,
                     config: ExperimentConfig, seed: int, run_dir: str) -> RunArtifacts:
     os.makedirs(run_dir, exist_ok=True)
@@ -418,19 +333,19 @@ def run_single_seed(env: Environment, graph: KnowledgeGraph | None,
     cfg_hash = config.config_hash()
     params, target, curve = train(env, graph, cfg, seed)
     curve_path = os.path.join(run_dir, "curve.csv")
-    _atomic_write(curve_path, curve_csv_text(curve, seed))
+    atomic_write(curve_path, curve_csv_text(curve, seed))
     logs = evaluate_policy(params, env, graph, cfg, mode="greedy")
     report = build_report(env.test_users, logs, env.test_preference_counts(),
                           cfg.resolved_eval_gamma(),
                           interactions=curve[-1].interactions, config_hash=cfg_hash)
     report_path = os.path.join(run_dir, "report.txt")
     per_user_path = os.path.join(run_dir, "report_users.csv")
-    _atomic_write(report_path, report.flat_text())
-    _atomic_write(per_user_path, report.per_user_csv())
+    atomic_write(report_path, report.flat_text())
+    atomic_write(per_user_path, report.per_user_csv())
     checkpoint_path = os.path.join(run_dir, "checkpoint.npz")
     save_checkpoint(checkpoint_path, params, target, cfg, config_hash=cfg_hash,
                     interactions=curve[-1].interactions)
-    _atomic_write(os.path.join(run_dir, "config.snapshot"), config.canonical_text())
+    atomic_write(os.path.join(run_dir, "config.snapshot"), config.canonical_text())
     return RunArtifacts(seed=seed, run_dir=run_dir, curve_path=curve_path,
                         report_path=report_path, per_user_path=per_user_path,
                         checkpoint_path=checkpoint_path, config_hash=cfg_hash,
@@ -445,23 +360,18 @@ def run_experiment(config: ExperimentConfig) -> list[RunArtifacts]:
     env = build_environment(ds, config)
     graph = ds.graph
     os.makedirs(config.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(config.out_dir, "config.snapshot"), config.canonical_text())
+    atomic_write(os.path.join(config.out_dir, "config.snapshot"), config.canonical_text())
     artifacts = []
     for seed in config.seeds:
         run_dir = os.path.join(config.out_dir, f"seed_{seed}")
         logger.info("running seed %d -> %s", seed, run_dir)
         artifacts.append(run_single_seed(env, graph, config, seed, run_dir))
-    rows = ["seed,reward,precision,recall"]
     finals = np.array([[a.report.average_reward, a.report.precision, a.report.recall]
                        for a in artifacts])
-    for a in artifacts:
-        rows.append(f"{a.seed},{a.report.average_reward!r},"
-                    f"{a.report.precision!r},{a.report.recall!r}")
-    mean = [float(v) for v in finals.mean(axis=0)]
-    std = [float(v) for v in finals.std(axis=0)]
-    rows.append(f"mean,{mean[0]!r},{mean[1]!r},{mean[2]!r}")
-    rows.append(f"std,{std[0]!r},{std[1]!r},{std[2]!r}")
-    _atomic_write(os.path.join(config.out_dir, "aggregate.csv"), "\n".join(rows) + "\n")
+    rows = [(a.seed, *final) for a, final in zip(artifacts, finals.tolist())]
+    rows += [("mean", *finals.mean(axis=0).tolist()), ("std", *finals.std(axis=0).tolist())]
+    atomic_write(os.path.join(config.out_dir, "aggregate.csv"),
+                 csv_text("seed,reward,precision,recall", rows))
     return artifacts
 
 
@@ -469,21 +379,9 @@ def run_experiment(config: ExperimentConfig) -> list[RunArtifacts]:
 
 
 def _read_per_user(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    users, rewards, precisions, recalls = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "user,reward,precision,recall":
-            raise ValueError(f"{path}: unexpected per-user header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            user, reward, precision, recall = line.strip().split(",")
-            users.append(int(user))
-            rewards.append(float(reward))
-            precisions.append(float(precision))
-            recalls.append(float(recall))
-    return (np.asarray(users), np.asarray(rewards), np.asarray(precisions),
-            np.asarray(recalls))
+    rows = read_csv(path, "user,reward,precision,recall")
+    users = np.asarray([int(row[0]) for row in rows])
+    return (users, *(np.asarray([float(row[k]) for row in rows]) for k in (1, 2, 3)))
 
 
 def _seed_dirs(run_dir: str) -> list[str]:
@@ -516,20 +414,17 @@ def compare(dir_a: str, dir_b: str, alpha: float = 0.05) -> list[MetricCompariso
     dirs_a, dirs_b = _seed_dirs(dir_a), _seed_dirs(dir_b)
     if len(dirs_a) != len(dirs_b):
         raise ValueError(f"seed run count mismatch: {len(dirs_a)} vs {len(dirs_b)}")
-    columns_a: list[list[np.ndarray]] = [[], [], []]
-    columns_b: list[list[np.ndarray]] = [[], [], []]
+    per_seed = []
     for da, db in zip(dirs_a, dirs_b):
         ua, *vals_a = _read_per_user(os.path.join(da, "report_users.csv"))
         ub, *vals_b = _read_per_user(os.path.join(db, "report_users.csv"))
-        if ua.shape != ub.shape or not np.array_equal(ua, ub):
+        if not np.array_equal(ua, ub):
             raise ValueError(f"user sets differ between {da} and {db}")
-        for k in range(3):
-            columns_a[k].append(vals_a[k])
-            columns_b[k].append(vals_b[k])
+        per_seed.append((vals_a, vals_b))
     out = []
     for k, name in enumerate(("reward", "precision", "recall")):
-        a = np.concatenate(columns_a[k])
-        b = np.concatenate(columns_b[k])
+        a = np.concatenate([vals_a[k] for vals_a, _ in per_seed])
+        b = np.concatenate([vals_b[k] for _, vals_b in per_seed])
         stat, p = wilcoxon_signed_rank(a, b)
         out.append(MetricComparison(metric=name, mean_a=float(a.mean()),
                                     mean_b=float(b.mean()), statistic=stat,
@@ -538,11 +433,9 @@ def compare(dir_a: str, dir_b: str, alpha: float = 0.05) -> list[MetricCompariso
 
 
 def comparison_text(results: list[MetricComparison]) -> str:
-    lines = ["metric,mean_a,mean_b,statistic,p_value,significant"]
-    for r in results:
-        flag = "yes" if r.significant else "no"
-        lines.append(f"{r.metric},{r.mean_a!r},{r.mean_b!r},{r.statistic!r},{r.p_value!r},{flag}")
-    return "\n".join(lines) + "\n"
+    return csv_text("metric,mean_a,mean_b,statistic,p_value,significant",
+                    ((r.metric, r.mean_a, r.mean_b, r.statistic, r.p_value,
+                      "yes" if r.significant else "no") for r in results))
 
 
 # -- candidate-size sweep -------------------------------------------------
@@ -562,7 +455,7 @@ def sweep_candidates(config: ExperimentConfig, sizes: list[int | None] | None = 
     if sizes is None:
         sizes = parse_sizes(config.candidate_sizes)
     results: dict[str, list[RunArtifacts]] = {}
-    rows = ["size,seed,reward,precision,recall"]
+    rows = []
     os.makedirs(config.out_dir, exist_ok=True)
     for size in sizes:
         token = "all" if size is None else str(size)
@@ -570,7 +463,8 @@ def sweep_candidates(config: ExperimentConfig, sizes: list[int | None] | None = 
                       out_dir=os.path.join(config.out_dir, f"size_{token}"))
         results[token] = run_experiment(sub)
         for a in results[token]:
-            rows.append(f"{token},{a.seed},{a.report.average_reward!r},"
-                        f"{a.report.precision!r},{a.report.recall!r}")
-    _atomic_write(os.path.join(config.out_dir, "sweep.csv"), "\n".join(rows) + "\n")
+            rows.append((token, a.seed, a.report.average_reward, a.report.precision,
+                         a.report.recall))
+    atomic_write(os.path.join(config.out_dir, "sweep.csv"),
+                 csv_text("size,seed,reward,precision,recall", rows))
     return results

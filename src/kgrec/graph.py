@@ -13,6 +13,8 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
+from .textio import read_tsv
+
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -139,19 +141,20 @@ class KnowledgeGraph:
         return row
 
 
-def _parse_tsv(path: str, n_fields: int, what: str) -> list[tuple[str, ...]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise ValueError(f"{path}:{lineno}: expected {n_fields} tab-separated fields for {what}, "
-                                 f"got {len(parts)}")
-            rows.append(tuple(parts))
-    return rows
+def read_triples(path: str) -> list[tuple[str, str, str]]:
+    """The head<TAB>relation<TAB>tail rows of a triples file."""
+    return [tuple(parts) for _, parts in read_tsv(path, (3,), "head<TAB>relation<TAB>tail")]
+
+
+def read_links(path: str) -> dict[str, str]:
+    """The item<TAB>entity lines of a links file as {item: entity}; an item
+    linked to two entities is rejected with its line number."""
+    links: dict[str, str] = {}
+    for lineno, (item, ent) in read_tsv(path, (2,), "item<TAB>entity"):
+        if links.setdefault(item, ent) != ent:
+            raise ValueError(f"{path}:{lineno}: link map not a function: "
+                             f"item {item!r} linked to two entities")
+    return links
 
 
 def build_graph(triples: Iterable[tuple[Hashable, Hashable, Hashable]],
@@ -186,20 +189,9 @@ def build_graph(triples: Iterable[tuple[Hashable, Hashable, Hashable]],
 
 
 def load_graph(triples_path: str, links_path: str) -> KnowledgeGraph:
-    """Load a graph from TSV files.
-
-    Triples file: head<TAB>relation<TAB>tail per line. Links file:
-    item_id<TAB>entity per line; items stay string tokens. Malformed
-    lines are rejected with their line number.
-    """
-    triple_rows = _parse_tsv(triples_path, 3, "a triple")
-    link_rows = _parse_tsv(links_path, 2, "a link")
-    links: dict = {}
-    for item, ent in link_rows:
-        if item in links and links[item] != ent:
-            raise ValueError(f"link map not a function: item {item!r} linked to two entities")
-        links[item] = ent
-    return build_graph(triple_rows, links)
+    """Load a graph from a triples and a links TSV file (see read_triples and
+    read_links); items stay string tokens."""
+    return build_graph(read_triples(triples_path), read_links(links_path))
 
 
 def _expansion_seeds(g: KnowledgeGraph, seeds: Iterable[int], k: int) -> set[int]:

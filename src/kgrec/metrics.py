@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .textio import csv_text, flat_text
 
 log = logging.getLogger(__name__)
 
@@ -48,21 +50,20 @@ def recall_at_horizon(logs, n_preferences) -> float:
     module logger.
     """
     _check_logs(logs)
-    counts = np.asarray(n_preferences)
-    if counts.shape != (len(logs),):
-        raise ValueError(f"need one preference count per episode, got {counts.shape}")
-    values = []
-    zero_users = 0
-    for ep, n_pref in zip(logs, counts):
-        hits = sum(1 for rec in ep if rec.hit)
-        if n_pref <= 0:
-            zero_users += 1
-            values.append(0.0)
-        else:
-            values.append(hits / n_pref)
+    values, zero_users = _recalls(logs, n_preferences)
     if zero_users:
         log.warning("recall: %d user(s) with zero preferences contribute 0", zero_users)
     return float(np.mean(values))
+
+
+def _recalls(logs, n_preferences) -> tuple[list, int]:
+    """Per-user recall (0 without preferences), and how many users have none."""
+    counts = np.asarray(n_preferences)
+    if counts.shape != (len(logs),):
+        raise ValueError(f"need one preference count per episode, got {counts.shape}")
+    values = [sum(1 for rec in ep if rec.hit) / n_pref if n_pref > 0 else 0.0
+              for ep, n_pref in zip(logs, counts)]
+    return values, int((counts <= 0).sum())
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -157,37 +158,21 @@ class EvaluationReport:
     per_user: list[tuple[int, float, float, float]] = field(default_factory=list)
 
     def flat_text(self) -> str:
-        lines = [
-            f"average_reward = {self.average_reward!r}",
-            f"precision = {self.precision!r}",
-            f"recall = {self.recall!r}",
-            f"gamma = {self.gamma!r}",
-            f"interactions = {self.interactions}",
-            f"config_hash = {self.config_hash}",
-            f"zero_preference_users = {self.zero_preference_users}",
-        ]
-        return "\n".join(lines) + "\n"
+        """Every field but per_user as `key = value` lines."""
+        return flat_text((f.name, getattr(self, f.name)) for f in fields(self)
+                         if f.name != "per_user")
 
     def per_user_csv(self) -> str:
-        rows = ["user,reward,precision,recall"]
-        for user, reward, prec, rec in self.per_user:
-            rows.append(f"{user},{reward!r},{prec!r},{rec!r}")
-        return "\n".join(rows) + "\n"
+        return csv_text("user,reward,precision,recall", self.per_user)
 
 
 def build_report(users, logs, n_preferences, gamma: float, interactions: int = 0,
                  config_hash: str = "") -> EvaluationReport:
     """Assemble an EvaluationReport from per-user episode logs."""
     horizon = _check_logs(logs)
-    counts = np.asarray(n_preferences)
-    per_user = []
-    zero_users = 0
-    for user, ep, n_pref in zip(users, logs, counts):
-        hits = sum(1 for rec in ep if rec.hit)
-        if n_pref <= 0:
-            zero_users += 1
-        per_user.append((int(user), episode_reward(ep, gamma), hits / horizon,
-                         float(hits / n_pref) if n_pref > 0 else 0.0))
+    recalls, zero_users = _recalls(logs, n_preferences)
+    per_user = [(int(user), episode_reward(ep, gamma), sum(1 for rec in ep if rec.hit) / horizon,
+                 float(recall)) for user, ep, recall in zip(users, logs, recalls)]
     return EvaluationReport(
         average_reward=float(np.mean([r for _, r, _, _ in per_user])),
         precision=float(np.mean([p for _, _, p, _ in per_user])),

@@ -235,20 +235,3 @@ def preference_counts(m: SimulatorModel, users, items) -> np.ndarray:
     raw = np.clip(raw, m.rating_min, m.rating_max)
     return (raw > m.hit_threshold).sum(axis=1)
 
-
-def save_simulator(path: str, m: SimulatorModel) -> None:
-    np.savez(path,
-             user_factors=m.user_factors, item_factors=m.item_factors,
-             user_bias=m.user_bias, item_bias=m.item_bias,
-             scalars=np.array([m.global_mean, m.rating_min, m.rating_max,
-                               m.hit_threshold, m.eta, float(m.horizon), m.train_rmse]))
-
-
-def load_simulator(path: str) -> SimulatorModel:
-    with np.load(path) as data:
-        s = data["scalars"]
-        return SimulatorModel(user_factors=data["user_factors"], item_factors=data["item_factors"],
-                              user_bias=data["user_bias"], item_bias=data["item_bias"],
-                              global_mean=float(s[0]), rating_min=float(s[1]), rating_max=float(s[2]),
-                              hit_threshold=float(s[3]), eta=float(s[4]), horizon=int(s[5]),
-                              train_rmse=float(s[6]))

@@ -9,9 +9,11 @@ next. Cross-cluster distractor edges keep the selection problem honest.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .textio import atomic_write, field_casters, parse_flat
 
 
 @dataclass(frozen=True)
@@ -118,39 +120,21 @@ def generate(spec: SynthSpec) -> SynthData:
 
 def parse_spec(path: str) -> SynthSpec:
     """Read a flat `key = value` spec file; unknown keys are rejected."""
-    types = {f.name: f.type for f in fields(SynthSpec)}
-    values: dict = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            caster = int if types[key] == "int" else float
-            try:
-                values[key] = caster(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: cannot parse {value!r} for {key!r}") from None
-    spec = SynthSpec(**values)
+        text = fh.read()
+    spec = SynthSpec(**parse_flat(text, field_casters(SynthSpec), path))
     spec.validate()
     return spec
 
 
 def write_interactions(path: str, users, items, ratings) -> None:
     lines = [f"{int(u)}\t{int(i)}\t{float(r)!r}" for u, i, r in zip(users, items, ratings)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_graph(triples_path: str, links_path: str, triples, links: dict) -> None:
-    _atomic_write(triples_path, "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples))
-    _atomic_write(links_path, "".join(f"{item}\t{ent}\n" for item, ent in links.items()))
+    atomic_write(triples_path, "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples))
+    atomic_write(links_path, "".join(f"{item}\t{ent}\n" for item, ent in links.items()))
 
 
 def write_dataset(out_dir: str, data: SynthData) -> dict[str, str]:
@@ -164,10 +148,3 @@ def write_dataset(out_dir: str, data: SynthData) -> dict[str, str]:
     write_interactions(paths["ratings"], data.users, data.items, data.ratings)
     write_graph(paths["triples"], paths["links"], data.triples, data.links)
     return paths
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)

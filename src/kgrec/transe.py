@@ -98,32 +98,3 @@ def transe_pretrain(g: KnowledgeGraph, cfg: TranseConfig, seed: int):
     entities /= np.maximum(np.linalg.norm(entities, axis=1, keepdims=True), 1e-12)
     return entities, relations, loss
 
-
-def save_embeddings(path: str, matrix: np.ndarray) -> None:
-    """Write an embedding snapshot: header "rows dim", then one row per line.
-
-    Values use repr-precision decimal text, so load_embeddings round-trips
-    float64 exactly.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {matrix.shape}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_embeddings(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: malformed snapshot header")
-        rows, dim = int(header[0]), int(header[1])
-        out = np.empty((rows, dim), dtype=np.float64)
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != dim:
-                raise ValueError(f"{path}:{i + 2}: expected {dim} values, got {len(parts)}")
-            out[i] = [float(p) for p in parts]
-    return out

@@ -1,14 +1,51 @@
-"""Straightforward reference forms of the package's cached fast paths.
+"""Straightforward reference forms of the package's batched and cached paths.
 
-Each function here is the plain implementation that a faster one in
-`kgrec` must reproduce bit for bit: the tests compare the two on random
-inputs and on whole training runs.
+The cached forms here are what a faster function in `kgrec` must
+reproduce bit for bit, on random inputs and on whole training runs. The
+one-row and per-item forms state a batched computation for one sample,
+so tests can check it against finite differences and hand-derived
+equations.
 """
 
 import numpy as np
 
-from kgrec.agent import double_q_targets, gru_step_np, score_candidates
+from kgrec.agent import double_q_targets, gru_step_np, q_rows, score_candidates
+from kgrec.encoder import gru_step_rows
 from kgrec.graph import CandidateSet, k_hop_sets
+
+
+def gru_step(p, h_prev, item_vec, tape):
+    """`gru_step_rows` on one (d,) state and one (d,) item vector, taped."""
+    d = h_prev.shape[0]
+    row = gru_step_rows(p, tape.reshape(h_prev, (1, d)), tape.reshape(item_vec, (1, d)), tape)
+    return tape.reshape(row, (d,))
+
+
+def q_value(state_vec, item_vec, qnet, tape):
+    """`q_rows` on one (state, item) pair: the taped scalar V + A."""
+    q = q_rows(tape.reshape(state_vec, (1, -1)), tape.reshape(item_vec, (1, -1)), qnet, tape)
+    return tape.reshape(q, ())
+
+
+def item_embedding_np(g, item, gcn, base):
+    """Final-hop GCN embedding of one item by unrolling its receptive field:
+    relu(W mean(neighbors) + B self) per hop, a zero mean without neighbors."""
+    memo = {}
+
+    def emb(node, hop):
+        if (node, hop) not in memo:
+            if hop == 0:
+                out = base[node]
+            else:
+                w, b = gcn.layers[hop - 1]
+                nbr = g.neighbors(node)
+                agg = (np.mean([emb(int(t), hop - 1) for t in nbr], axis=0) if nbr.size
+                       else np.zeros(base.shape[1]))
+                out = np.maximum(w.data @ agg + b.data @ emb(node, hop - 1), 0.0)
+            memo[(node, hop)] = out
+        return memo[(node, hop)]
+
+    return emb(int(g.item_to_entity[item]), gcn.hops)
 
 
 def candidate_items_bfs(g, seeds, k, max_size, exclude=()):

@@ -27,7 +27,6 @@ from kgrec.agent import (
     evaluate_policy,
     load_checkpoint,
     q_rows,
-    q_value,
     save_checkpoint,
     select_action,
     soft_update,
@@ -35,7 +34,7 @@ from kgrec.agent import (
     train,
 )
 from kgrec.autodiff import Tape, Tensor
-from kgrec.encoder import GcnParameters, GruParameters, gru_step, propagate_all
+from kgrec.encoder import GcnParameters, GruParameters, propagate_all
 from kgrec.experiments import (
     build_environment,
     curve_csv_text,
@@ -60,6 +59,7 @@ from kgrec.simulator import (
 )
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import transe_loss_and_grads
+from oracles import gru_step, q_value
 
 SEEDS = (0, 1, 2)
 

@@ -28,7 +28,6 @@ from kgrec.agent import (
     initialize_parameters,
     load_checkpoint,
     q_rows,
-    q_value,
     run_training_episode,
     save_checkpoint,
     score_candidates,
@@ -38,14 +37,14 @@ from kgrec.agent import (
     train,
     variant_flags,
 )
-from kgrec.autodiff import Tape, Tensor
+from kgrec.autodiff import Tape, Tensor, sigmoid
 from kgrec.encoder import GcnParameters, GruParameters
 from kgrec.experiments import build_environment, curve_csv_text, ingest, parse_config_text
 from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from oracles import (candidate_items_bfs, compute_targets_per_sample, fold_history_np,
-                     sigmoid_masked)
+                     q_value, sigmoid_masked)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -439,7 +438,7 @@ def test_sigmoid_matches_masked_form_bitwise():
                         1e-310, -1e-310, 1e-300, -1e-300, 1e3, -1e3, 709.8, -745.2, 36.0, -36.0])
     rng = np.random.default_rng(4)
     x = np.concatenate([special, rng.standard_normal(997) * 12.0, rng.standard_normal(64)])
-    got = agent_module._sigmoid_np(x)
+    got = sigmoid(x)
     want = sigmoid_masked(x)
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
@@ -668,7 +667,7 @@ def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
 
     monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
     monkeypatch.setattr(agent_module, "compute_targets", compute_targets_per_sample)
-    monkeypatch.setattr(agent_module, "_sigmoid_np", sigmoid_masked)
+    monkeypatch.setattr(agent_module, "sigmoid", sigmoid_masked)
     _, _, reference = train(env, ds.graph, cfg, seed=3)
     # both the linked candidates and the catalog fallback were exercised
     assert any(found) and not all(found)

@@ -3,12 +3,13 @@ assembly, run artifacts, comparisons, sweeps and the CLI surface."""
 
 import logging
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from kgrec import cli
-from kgrec.agent import CurvePoint, VARIANTS
+from kgrec.agent import CurvePoint, TrainConfig, VARIANTS
 from kgrec.experiments import (
     ExperimentConfig,
     build_environment,
@@ -142,9 +143,72 @@ def test_parse_rejects_malformed_text(text, needle):
 
 def test_parse_errors_carry_source_and_line(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("eta = 0.1\nbogus = 2\n")
-    with pytest.raises(ValueError, match=r"exp\.cfg:2"):
-        parse_config(str(path))
+    for bad in ("bogus = 2", "eta = 0.2", "just words", "budget = soon", "seeds = 1,x",
+                "kg_embeddings = maybe"):
+        path.write_text(f"eta = 0.1\n{bad}\n")
+        with pytest.raises(ValueError, match=r"exp\.cfg:2: "):
+            parse_config(str(path))
+    with pytest.raises(ValueError, match=r"^x\.cfg:2: cannot parse 'soon' for key 'budget'"):
+        parse_config_text("eta = 0.1\nbudget = soon\n", source="x.cfg")
+
+
+# every key that reaches TrainConfig, each away from its default
+TRAINING_TEXT = """\
+gamma = 0.9
+epsilon_start = 0.8
+epsilon_end = 0.1
+epsilon_decay_fraction = 0.3
+tau = 0.05
+batch_size = 16
+buffer_capacity = 500
+learning_rate = 0.02
+hops = 3
+candidate_size = 7
+horizon = 12
+embedding_dim = 6
+hidden_width = 9
+updates_per_episode = 2
+value_input = item
+advantage_center = true
+kg_embeddings = false
+gcn_propagation = false
+candidate_selection = false
+budget = 640
+eval_every = 160
+eval_gamma = 0.5
+transe_epochs = 7
+transe_margin = 2.0
+transe_negatives = 3
+transe_lr = 0.005
+init_mf_epochs = 4
+init_mf_lr = 0.03
+init_mf_reg = 0.04
+"""
+
+
+def test_train_config_derives_every_field():
+    want = {
+        "gamma": 0.9, "epsilon_start": 0.8, "epsilon_end": 0.1,
+        "epsilon_decay_fraction": 0.3, "tau": 0.05, "batch_size": 16,
+        "buffer_capacity": 500, "learning_rate": 0.02, "hops": 3, "candidate_size": 7,
+        "horizon": 12, "embedding_dim": 6, "hidden_width": 9, "updates_per_episode": 2,
+        "value_input": "item", "advantage_center": True, "kg_embeddings": False,
+        "gcn_propagation": False, "candidate_selection": False, "interaction_budget": 640,
+        "eval_every": 160, "eval_gamma": 0.5, "transe_epochs": 7, "transe_margin": 2.0,
+        "transe_negatives": 3, "transe_lr": 0.005, "init_mf_epochs": 4, "init_mf_lr": 0.03,
+        "init_mf_reg": 0.04,
+    }
+    defaults = asdict(TrainConfig())
+    assert all(want[key] != value for key, value in defaults.items())
+    assert asdict(parse_config_text(TRAINING_TEXT).train_config()) == want
+
+
+def test_config_hash_is_pinned():
+    # the hash names run directories and reports; this text must keep its value
+    text = ("ratings = /data/world/interactions.tsv\ntriples = /data/world/kg_triples.tsv\n"
+            "links = /data/world/kg_links.tsv\nout_dir = /runs/pinned\nseeds = 3,4\n"
+            "eta = 0.2\nrating_min = 1.0\nhit_threshold = auto\n" + TRAINING_TEXT)
+    assert parse_config_text(text).config_hash() == "822126ebd544512d"
 
 
 def test_parse_config_resolves_paths_against_config_dir(tmp_path):

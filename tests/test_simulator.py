@@ -5,8 +5,8 @@ import pytest
 
 from conftest import rel_error
 from kgrec.simulator import (EpisodeState, SimulatorModel, fit_mf, instinctive_reward,
-                             load_simulator, mf_loss_and_grads, popularity_table,
-                             preference_counts, reset, save_simulator, split_users, step)
+                             mf_loss_and_grads, popularity_table, preference_counts, reset,
+                             split_users, step)
 
 
 def _model(eta=0.1, horizon=8, hit_threshold=3.0, n_users=4, n_items=6, seed=0):
@@ -232,17 +232,3 @@ def test_preference_counts_match_brute_force():
             raw = min(max(m.predict_raw(int(u), int(i)), m.rating_min), m.rating_max)
             want += raw > m.hit_threshold
         assert got[row] == want
-
-
-def test_simulator_snapshot_round_trip(tmp_path):
-    m = _model(eta=0.3, horizon=17)
-    path = str(tmp_path / "sim.npz")
-    save_simulator(path, m)
-    back = load_simulator(path)
-    assert np.array_equal(back.user_factors, m.user_factors)
-    assert np.array_equal(back.item_bias, m.item_bias)
-    assert back.eta == m.eta and back.horizon == 17
-    assert back.hit_threshold == m.hit_threshold
-    for u in range(m.n_users):
-        for i in range(m.n_items):
-            assert back.predict_raw(u, i) == m.predict_raw(u, i)

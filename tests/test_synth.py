@@ -168,9 +168,10 @@ def test_parse_spec_rejects_malformed_lines(tmp_path, text, needle):
 
 def test_parse_spec_line_numbers_in_errors(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("clusters = 3\n\nbogus = 1\n")
-    with pytest.raises(ValueError, match=":3:"):
-        parse_spec(str(path))
+    for bad in ("bogus = 1", "clusters = 4", "clusters three", "clusters = 2.5", "noise = warm"):
+        path.write_text(f"clusters = 3\n\n{bad}\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:3: "):
+            parse_spec(str(path))
 
 
 def test_write_dataset_round_trips(tmp_path):

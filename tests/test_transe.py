@@ -1,12 +1,11 @@
-"""Margin-ranking embedding training: gradients, invariants, snapshots."""
+"""Margin-ranking embedding training: gradients and invariants."""
 
 import numpy as np
-import pytest
 
 from conftest import rel_error
 from kgrec.graph import KnowledgeGraph
-from kgrec.transe import (TranseConfig, load_embeddings, margin_loss, save_embeddings,
-                          transe_loss_and_grads, transe_pretrain, triple_distance)
+from kgrec.transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pretrain,
+                          triple_distance)
 
 
 def _toy_graph(rng, n_ent=12, n_rel=3, n_tri=30):
@@ -91,25 +90,3 @@ def test_pretraining_is_deterministic():
     assert np.array_equal(e1, e2) and np.array_equal(r1, r2) and l1 == l2
     e3, _, _ = transe_pretrain(g, cfg, seed=10)
     assert not np.array_equal(e1, e3)
-
-
-def test_snapshot_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(34)
-    matrix = rng.standard_normal((7, 5))
-    path = str(tmp_path / "emb.txt")
-    save_embeddings(path, matrix)
-    back = load_embeddings(path)
-    assert np.array_equal(back, matrix)  # bit-exact via repr round-trip
-
-
-def test_snapshot_rejects_malformed(tmp_path):
-    path = tmp_path / "emb.txt"
-    path.write_text("not a header\n")
-    with pytest.raises(ValueError):
-        load_embeddings(str(path))
-    path.write_text("2 3\n1.0 2.0 3.0\n4.0 5.0\n")
-    with pytest.raises(ValueError) as err:
-        load_embeddings(str(path))
-    assert ":3:" in str(err.value)
-    with pytest.raises(ValueError):
-        save_embeddings(str(path), np.zeros(4))
