@@ -209,6 +209,16 @@ class TrainConfig:
             raise ValueError("horizon, hops and batch_size must be positive")
         if self.candidate_size is not None and self.candidate_size < 1:
             raise ValueError("candidate_size must be positive or None")
+        if self.embedding_dim < 1:
+            raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        self.transe_config().validate()
+
+    def transe_config(self) -> TranseConfig:
+        """The KG pretraining settings: `dim` is embedding_dim, `learning_rate`
+        is transe_lr, and each other field is the transe_ field of its name."""
+        return TranseConfig(dim=self.embedding_dim, margin=self.transe_margin,
+                            negatives=self.transe_negatives, epochs=self.transe_epochs,
+                            learning_rate=self.transe_lr)
 
     def resolved_eval_gamma(self) -> float:
         return self.gamma if self.eval_gamma is None else self.eval_gamma
@@ -457,9 +467,7 @@ def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: T
     if cfg.kg_embeddings:
         if graph is None:
             raise ValueError("kg_embeddings requires a graph")
-        tc = TranseConfig(dim=d, margin=cfg.transe_margin, negatives=cfg.transe_negatives,
-                          epochs=cfg.transe_epochs, learning_rate=cfg.transe_lr)
-        entities, _, _ = transe_pretrain(graph, tc, s_pre)
+        entities, _, _ = transe_pretrain(graph, cfg.transe_config(), s_pre)
         base = Tensor(entities, requires_grad=cfg.gcn_propagation)
         row_of = np.full(n_slots, -1, dtype=np.int64)
         for item, entity in graph.item_to_entity.items():

@@ -7,9 +7,11 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .graph import KnowledgeGraph
 
@@ -21,6 +23,19 @@ class TranseConfig:
     negatives: int = 1
     epochs: int = 100
     learning_rate: float = 1e-3
+
+    def validate(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"TranseConfig.dim must be >= 1, got {self.dim}")
+        if self.epochs < 0:
+            raise ValueError(f"TranseConfig.epochs must be >= 0, got {self.epochs}")
+        if self.negatives < 1:
+            raise ValueError(f"TranseConfig.negatives must be >= 1, got {self.negatives}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"TranseConfig.learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"TranseConfig.margin must be finite, got {self.margin}")
 
 
 def triple_distance(entities: np.ndarray, relations: np.ndarray, h: int, r: int, t: int) -> float:
@@ -39,31 +54,54 @@ def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,
 
     `pos` and `neg` are (n, 3) id arrays; row i of `neg` is the corrupted
     version of row i of `pos`. Returns (loss, d_entities, d_relations).
+
+    Each gradient element sums its terms from 0.0 in a fixed order:
+    positive heads, positive tails, negative heads, negative tails for
+    entities, positive then negative relations for relations, each list
+    in row order. That is the order of six sequential `np.add.at`
+    scatters, whose result this matches bit for bit.
     """
     pos = np.asarray(pos, dtype=np.int64)
     neg = np.asarray(neg, dtype=np.int64)
     n = pos.shape[0]
-    diff_p = entities[pos[:, 0]] + relations[pos[:, 1]] - entities[pos[:, 2]]
-    diff_n = entities[neg[:, 0]] + relations[neg[:, 1]] - entities[neg[:, 2]]
-    d_p = np.linalg.norm(diff_p, axis=1)
-    d_n = np.linalg.norm(diff_n, axis=1)
-    slack = margin + d_p - d_n
+    # rows 0..n-1 hold the positive triples, rows n..2n-1 the negative ones
+    h, r, t = np.concatenate([pos, neg]).T.copy()
+    diff = np.take(entities, h, axis=0)
+    diff += np.take(relations, r, axis=0)
+    diff -= np.take(entities, t, axis=0)
+    dist = np.linalg.norm(diff, axis=1)
+    slack = margin + dist[:n] - dist[n:]
     active = slack > 0.0
     loss = float(np.where(active, slack, 0.0).mean())
 
-    de = np.zeros_like(entities)
-    dr = np.zeros_like(relations)
     # unit direction of each distance term; guard the non-differentiable origin
-    up = diff_p / np.maximum(d_p, 1e-12)[:, None]
-    un = diff_n / np.maximum(d_n, 1e-12)[:, None]
+    diff /= np.maximum(dist, 1e-12)[:, None]
     w = active.astype(np.float64)[:, None] / n
-    np.add.at(de, pos[:, 0], w * up)
-    np.add.at(de, pos[:, 2], -w * up)
-    np.add.at(dr, pos[:, 1], w * up)
-    np.add.at(de, neg[:, 0], -w * un)
-    np.add.at(de, neg[:, 2], w * un)
-    np.add.at(dr, neg[:, 1], -w * un)
-    return loss, de, dr
+    diff[:n] *= w
+    diff[n:] *= w
+    # one signed term per (gradient row, diff row), listed in summation order;
+    # relation rows follow the entity rows
+    n_ent = entities.shape[0]
+    src = np.arange(2 * n)
+    one = np.ones(n)
+    rows = np.concatenate([h[:n], t[:n], h[n:], t[n:], n_ent + r[:n], n_ent + r[n:]])
+    cols = np.concatenate([src[:n], src[:n], src[n:], src[n:], src[:n], src[n:]])
+    signs = np.concatenate([one, -one, -one, one, one, -one])
+    grads = _ordered_incidence(rows, cols, signs, n_ent + relations.shape[0], 2 * n) @ diff
+    return loss, grads[:n_ent], grads[n_ent:]
+
+
+def _ordered_incidence(rows, cols, data, n_rows: int, n_cols: int) -> sparse.csr_array:
+    """CSR matrix with entry k at (rows[k], cols[k]), each row's entries kept
+    in the order of k. Its product with a dense block adds each output
+    element's terms from 0.0 in that order (one multiply by +-1.0 each,
+    which is exact), without summing duplicates."""
+    # a stable sort keeps sequence order within each row; keys of 16 bits
+    # or fewer are radix-sorted
+    order = np.argsort(rows.astype(np.min_scalar_type(n_rows)), kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return sparse.csr_array((data[order], cols[order], indptr), shape=(n_rows, n_cols))
 
 
 def transe_pretrain(g: KnowledgeGraph, cfg: TranseConfig, seed: int):
@@ -72,8 +110,10 @@ def transe_pretrain(g: KnowledgeGraph, cfg: TranseConfig, seed: int):
     Plain SGD on the margin-ranking loss; negatives corrupt the head or
     the tail uniformly at random. Entity rows are L2-normalized at the
     start of every epoch and once more on exit. Returns
-    (entities, relations, final_epoch_loss).
+    (entities, relations, final_epoch_loss). Raises ValueError on a
+    setting outside its range, before any work.
     """
+    cfg.validate()
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(cfg.dim)
     entities = rng.uniform(-bound, bound, size=(g.n_entities, cfg.dim))

@@ -107,3 +107,31 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def transe_loss_and_grads_add_at(entities, relations, pos, neg, margin):
+    """`kgrec.transe.transe_loss_and_grads` with one sequential `np.add.at`
+    scatter per (index column, sign) of the positive and negative triples."""
+    pos = np.asarray(pos, dtype=np.int64)
+    neg = np.asarray(neg, dtype=np.int64)
+    n = pos.shape[0]
+    diff_p = entities[pos[:, 0]] + relations[pos[:, 1]] - entities[pos[:, 2]]
+    diff_n = entities[neg[:, 0]] + relations[neg[:, 1]] - entities[neg[:, 2]]
+    d_p = np.linalg.norm(diff_p, axis=1)
+    d_n = np.linalg.norm(diff_n, axis=1)
+    slack = margin + d_p - d_n
+    active = slack > 0.0
+    loss = float(np.where(active, slack, 0.0).mean())
+
+    de = np.zeros_like(entities)
+    dr = np.zeros_like(relations)
+    up = diff_p / np.maximum(d_p, 1e-12)[:, None]
+    un = diff_n / np.maximum(d_n, 1e-12)[:, None]
+    w = active.astype(np.float64)[:, None] / n
+    np.add.at(de, pos[:, 0], w * up)
+    np.add.at(de, pos[:, 2], -w * up)
+    np.add.at(dr, pos[:, 1], w * up)
+    np.add.at(de, neg[:, 0], -w * un)
+    np.add.at(de, neg[:, 2], w * un)
+    np.add.at(dr, neg[:, 1], -w * un)
+    return loss, de, dr

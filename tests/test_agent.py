@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kgrec.agent as agent_module
+import kgrec.transe as transe_module
 from conftest import finite_difference, rel_error
 from kgrec.agent import (
     AgentParameters,
@@ -43,8 +44,9 @@ from kgrec.experiments import build_environment, curve_csv_text, ingest, parse_c
 from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
+from kgrec.transe import TranseConfig
 from oracles import (candidate_items_bfs, compute_targets_per_sample, fold_history_np,
-                     q_value, sigmoid_masked)
+                     q_value, sigmoid_masked, transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -311,6 +313,23 @@ def test_config_validation_lattice():
     TrainConfig(candidate_size=None).validate()
     TrainConfig(kg_embeddings=True, gcn_propagation=False,
                 candidate_selection=False).validate()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("embedding_dim", 0, "embedding_dim"), ("transe_epochs", -3, "epochs"),
+    ("transe_negatives", 0, "negatives"), ("transe_lr", float("nan"), "learning_rate"),
+    ("transe_lr", -1e-3, "learning_rate"), ("transe_margin", float("inf"), "margin"),
+])
+def test_config_rejects_bad_embedding_settings(field, value, named):
+    with pytest.raises(ValueError, match=f"{named} must be"):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_transe_config_maps_fields():
+    cfg = TrainConfig(embedding_dim=7, transe_margin=2.0, transe_negatives=3, transe_epochs=4,
+                      transe_lr=0.5)
+    assert cfg.transe_config() == TranseConfig(dim=7, margin=2.0, negatives=3, epochs=4,
+                                               learning_rate=0.5)
 
 
 def test_variant_flags_table():
@@ -642,8 +661,9 @@ def test_full_variant_trains_end_to_end():
 
 
 def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
-    # the same training with the cached graph rows, the shared prefix folds
-    # and the unmasked sigmoid swapped for their plain reference forms
+    # the same training with the cached graph rows, the shared prefix folds,
+    # the unmasked sigmoid and the ordered TransE scatter swapped for their
+    # plain reference forms
     paths = write_dataset(str(tmp_path / "world"),
                           generate(SynthSpec(clusters=3, items_per_cluster=8, users=60,
                                              home_ratings_per_user=2, out_ratings_per_user=2,
@@ -668,6 +688,7 @@ def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
     monkeypatch.setattr(agent_module, "compute_targets", compute_targets_per_sample)
     monkeypatch.setattr(agent_module, "sigmoid", sigmoid_masked)
+    monkeypatch.setattr(transe_module, "transe_loss_and_grads", transe_loss_and_grads_add_at)
     _, _, reference = train(env, ds.graph, cfg, seed=3)
     # both the linked candidates and the catalog fallback were exercised
     assert any(found) and not all(found)

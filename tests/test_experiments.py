@@ -8,6 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import kgrec.experiments as experiments_module
 from kgrec import cli
 from kgrec.agent import CurvePoint, TrainConfig, VARIANTS
 from kgrec.experiments import (
@@ -635,6 +636,24 @@ def test_cli_end_to_end(world, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "size 2:" in out and "size all:" in out
     assert os.path.exists(os.path.join(sweep_dir, "sweep.csv"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("embedding_dim", "0"), ("transe_epochs", "-3"), ("transe_negatives", "0"),
+    ("transe_lr", "nan"), ("transe_margin", "inf"),
+])
+def test_cli_train_rejects_bad_embedding_settings_before_ingest(world, tmp_path, monkeypatch,
+                                                                key, value):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_config_text(world, str(tmp_path / "exp"), **{key: value}))
+
+    def no_ingest(config):
+        raise AssertionError("ingested")
+
+    monkeypatch.setattr(experiments_module, "ingest", no_ingest)
+    with pytest.raises(ValueError, match="must be"):
+        cli.main(["train", "--config", str(cfg_path)])
+    assert not os.path.exists(tmp_path / "exp")
 
 
 def test_cli_train_seed_and_budget_overrides(world, tmp_path, capsys):

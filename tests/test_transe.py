@@ -1,11 +1,18 @@
 """Margin-ranking embedding training: gradients and invariants."""
 
-import numpy as np
+import math
+import warnings
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import kgrec.transe as transe_module
 from conftest import rel_error
 from kgrec.graph import KnowledgeGraph
 from kgrec.transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pretrain,
                           triple_distance)
+from oracles import transe_loss_and_grads_add_at
 
 
 def _toy_graph(rng, n_ent=12, n_rel=3, n_tri=30):
@@ -90,3 +97,100 @@ def test_pretraining_is_deterministic():
     assert np.array_equal(e1, e2) and np.array_equal(r1, r2) and l1 == l2
     e3, _, _ = transe_pretrain(g, cfg, seed=10)
     assert not np.array_equal(e1, e3)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# coordinates from a small grid repeat exactly, so zero-length differences
+# (the 1e-12 guard), ties and exact cancellations are common
+_coords = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]),
+                    st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _triple_batches(draw):
+    n_ent, n_rel = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    dim, n = draw(st.integers(1, 8)), draw(st.integers(0, 40))
+
+    def matrix(rows):
+        return np.array(draw(st.lists(_coords, min_size=rows * dim, max_size=rows * dim)),
+                        dtype=np.float64).reshape(rows, dim)
+
+    def ids(count):
+        return draw(st.lists(st.integers(0, count - 1), min_size=n, max_size=n))
+
+    entities, relations = matrix(n_ent), matrix(n_rel)
+    pos = np.array([ids(n_ent), ids(n_rel), ids(n_ent)], dtype=np.int64).T.reshape(n, 3)
+    neg = pos.copy()
+    # per row: keep the positive, corrupt the head, or corrupt the tail
+    for i, (mode, fresh) in enumerate(zip(ids(3), ids(n_ent))):
+        if mode:
+            neg[i, 0 if mode == 1 else 2] = fresh
+    margin = draw(st.one_of(st.sampled_from([-100.0, 0.0, 1.0, 100.0]), st.floats(-2.0, 4.0)))
+    return entities, relations, pos, neg, margin
+
+
+_SELF_LOOPS = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0], [0, 1, 1], [1, 0, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triple_batches())
+# every difference is zero: self-loops, repeats and negatives equal to the
+# positives, all active under a positive margin and all inactive under a
+# negative one
+@example((np.zeros((2, 3)), np.zeros((2, 3)), _SELF_LOOPS, _SELF_LOOPS.copy(), 1.0))
+@example((np.zeros((2, 3)), np.zeros((2, 3)), _SELF_LOOPS, _SELF_LOOPS.copy(), -1.0))
+# an empty batch
+@example((np.eye(2), np.ones((1, 2)), np.zeros((0, 3), dtype=np.int64),
+          np.zeros((0, 3), dtype=np.int64), 1.0))
+def test_loss_and_grads_match_add_at_reference_bitwise(batch):
+    entities, relations, pos, neg, margin = batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of an empty batch
+        loss, de, dr = transe_loss_and_grads(entities, relations, pos, neg, margin)
+        want_loss, want_de, want_dr = transe_loss_and_grads_add_at(entities, relations, pos, neg,
+                                                                   margin)
+    assert loss == want_loss or (math.isnan(loss) and math.isnan(want_loss))
+    assert np.array_equal(de, want_de) and np.array_equal(dr, want_dr)
+    assert _same_bits(de, want_de) and _same_bits(dr, want_dr)
+
+
+def test_pretraining_matches_add_at_reference_bitwise(monkeypatch):
+    rng = np.random.default_rng(34)
+    triples = np.concatenate([_toy_graph(rng, n_ent=6, n_tri=40).triples,
+                              [[0, 0, 0], [3, 1, 3], [5, 2, 5]]])
+    g = KnowledgeGraph(triples, 6, 3, {})
+    cfg = TranseConfig(dim=5, epochs=15, negatives=2, learning_rate=0.05)
+    got = transe_pretrain(g, cfg, seed=2)
+    monkeypatch.setattr(transe_module, "transe_loss_and_grads", transe_loss_and_grads_add_at)
+    want = transe_pretrain(g, cfg, seed=2)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 0), ("dim", -2), ("epochs", -3), ("negatives", 0),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", -0.1),
+    ("margin", float("nan")), ("margin", float("-inf")),
+])
+def test_pretraining_rejects_bad_settings_before_work(field, value, monkeypatch):
+    g = _toy_graph(np.random.default_rng(35))
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(transe_module, "transe_loss_and_grads", no_epoch)
+    cfg = TranseConfig(**{"dim": 4, "epochs": 3, field: value})
+    with pytest.raises(ValueError, match=f"TranseConfig.{field} must be"):
+        transe_pretrain(g, cfg, seed=0)
+
+
+def test_pretraining_accepts_boundary_settings():
+    g = _toy_graph(np.random.default_rng(36))
+    entities, _, loss = transe_pretrain(g, TranseConfig(dim=1, epochs=0, learning_rate=0.0),
+                                        seed=0)
+    assert entities.shape == (g.n_entities, 1) and loss == 0.0
+    _, _, loss = transe_pretrain(g, TranseConfig(dim=3, epochs=2, margin=-1.0), seed=0)
+    assert loss == 0.0
