@@ -9,6 +9,7 @@ hold them equal to the taped forms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 from typing import Sequence
 
@@ -163,8 +164,9 @@ class ReplayBuffer:
 
 
 @dataclass
-class TrainConfig:
-    """Agent and schedule knobs; flag combinations follow the ablation lattice."""
+class TrainSettings:
+    """The training keys a config file shares with TrainConfig, each declared
+    here once with its default; flag combinations follow the ablation lattice."""
 
     gamma: float = 0.99
     epsilon_start: float = 1.0
@@ -175,7 +177,6 @@ class TrainConfig:
     buffer_capacity: int = 10_000
     learning_rate: float = 1e-3
     hops: int = 2
-    candidate_size: int | None = 1000
     horizon: int = 32
     embedding_dim: int = 50
     hidden_width: int = 64
@@ -185,7 +186,6 @@ class TrainConfig:
     kg_embeddings: bool = True
     gcn_propagation: bool = True
     candidate_selection: bool = True
-    interaction_budget: int = 10_000
     eval_every: int = 1000
     eval_gamma: float | None = None
     transe_epochs: int = 100
@@ -196,6 +196,15 @@ class TrainConfig:
     init_mf_lr: float = 0.01
     init_mf_reg: float = 0.02
 
+
+@dataclass
+class TrainConfig(TrainSettings):
+    """Agent and schedule knobs: the shared settings plus the parsed
+    candidate size and the interaction budget."""
+
+    candidate_size: int | None = 1000
+    interaction_budget: int = 10_000
+
     def validate(self) -> None:
         if self.value_input not in ("state", "item"):
             raise ValueError(f"value_input must be 'state' or 'item', got {self.value_input!r}")
@@ -205,12 +214,22 @@ class TrainConfig:
             raise ValueError("candidate_selection requires gcn_propagation (ablation lattice)")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
-        if self.horizon < 1 or self.hops < 1 or self.batch_size < 1:
-            raise ValueError("horizon, hops and batch_size must be positive")
         if self.candidate_size is not None and self.candidate_size < 1:
             raise ValueError("candidate_size must be positive or None")
-        if self.embedding_dim < 1:
-            raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        for name in ("horizon", "hops", "batch_size", "embedding_dim", "hidden_width",
+                     "buffer_capacity", "interaction_budget", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("updates_per_episode", "init_mf_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("learning_rate", "init_mf_lr", "init_mf_reg"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("gamma", "eval_gamma", "tau"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         self.transe_config().validate()
 
     def transe_config(self) -> TranseConfig:
@@ -480,9 +499,11 @@ def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: T
                                  graph=graph if gcn is not None else None, gcn=gcn)
     else:
         u, i, r = env.train_interactions
+        # the simulator's scale: the train ratings alone may all be equal
         mf = fit_mf(u, i, r, n_users=env.model.n_users, n_items=n_slots, dim=d,
                     epochs=cfg.init_mf_epochs, learning_rate=cfg.init_mf_lr,
-                    reg=cfg.init_mf_reg, seed=s_pre)
+                    reg=cfg.init_mf_reg, seed=s_pre, rating_min=env.model.rating_min,
+                    rating_max=env.model.rating_max)
         base = Tensor(mf.item_factors, requires_grad=True)
         source = EmbeddingSource(base=base, row_of_item=np.arange(n_slots), graph=None, gcn=None)
 

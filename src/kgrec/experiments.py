@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .agent import (CurvePoint, Environment, TrainConfig, evaluate_policy,
+from .agent import (CurvePoint, Environment, TrainConfig, TrainSettings, evaluate_policy,
                     save_checkpoint, train)
 from .graph import KnowledgeGraph, build_graph, read_links, read_triples
 from .metrics import EvaluationReport, build_report, wilcoxon_signed_rank
@@ -28,8 +28,9 @@ ETA_CHOICES = (0.0, 0.1, 0.2)
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything a run needs, addressable from a flat config file."""
+class ExperimentConfig(TrainSettings):
+    """Everything a run needs, addressable from a flat config file: the
+    training keys of TrainSettings plus the data, simulator and run keys."""
 
     ratings: str = ""
     triples: str = ""
@@ -38,13 +39,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     seed: int = 0
     eta: float = 0.1
-    horizon: int = 32
-    hops: int = 2
     candidate_size: str = "1000"
     candidate_sizes: str = "5,10,20,50,all"
-    kg_embeddings: bool = True
-    gcn_propagation: bool = True
-    candidate_selection: bool = True
     train_fraction: float = 0.8
     simulator_fit_scope: str = "all"
     sim_dim: int = 20
@@ -57,28 +53,6 @@ class ExperimentConfig:
     min_user_interactions: int = 0
     binarize_threshold: float | None = None
     budget: int = 10_000
-    eval_every: int = 1000
-    gamma: float = 0.99
-    eval_gamma: float | None = None
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.2
-    tau: float = 0.01
-    batch_size: int = 128
-    buffer_capacity: int = 10_000
-    learning_rate: float = 0.001
-    embedding_dim: int = 50
-    hidden_width: int = 64
-    updates_per_episode: int = 1
-    value_input: str = "state"
-    advantage_center: bool = False
-    transe_epochs: int = 100
-    transe_margin: float = 1.0
-    transe_negatives: int = 1
-    transe_lr: float = 0.001
-    init_mf_epochs: int = 50
-    init_mf_lr: float = 0.01
-    init_mf_reg: float = 0.02
 
     def validate(self) -> None:
         if not self.ratings:
@@ -94,8 +68,6 @@ class ExperimentConfig:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.seeds:
             raise ValueError("need at least one run seed")
-        if self.budget < 1 or self.eval_every < 1:
-            raise ValueError("budget and eval_every must be positive")
         if self.min_user_interactions < 0:
             raise ValueError("min_user_interactions must be >= 0")
         parse_sizes(self.candidate_sizes)
@@ -105,14 +77,11 @@ class ExperimentConfig:
         self.train_config().validate()
 
     def train_config(self) -> TrainConfig:
-        """The agent's settings: each TrainConfig field from the field of the
-        same name, except interaction_budget from `budget`, with
-        candidate_size parsed."""
-        values = {f.name: getattr(self, f.name) for f in fields(TrainConfig)
-                  if f.name != "interaction_budget"}
-        values.update(interaction_budget=self.budget,
-                      candidate_size=_parse_size(self.candidate_size))
-        return TrainConfig(**values)
+        """The agent's settings: the TrainSettings fields as they are,
+        interaction_budget from `budget` and candidate_size parsed."""
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainSettings)}
+        return TrainConfig(**shared, candidate_size=_parse_size(self.candidate_size),
+                           interaction_budget=self.budget)
 
     def canonical_text(self) -> str:
         """Stable `key = value` rendering; parsing it back round-trips."""

@@ -319,6 +319,14 @@ def test_config_validation_lattice():
     ("embedding_dim", 0, "embedding_dim"), ("transe_epochs", -3, "epochs"),
     ("transe_negatives", 0, "negatives"), ("transe_lr", float("nan"), "learning_rate"),
     ("transe_lr", -1e-3, "learning_rate"), ("transe_margin", float("inf"), "margin"),
+    ("hidden_width", 0, "hidden_width"), ("learning_rate", float("nan"), "learning_rate"),
+    ("learning_rate", -1e-3, "learning_rate"), ("learning_rate", float("inf"), "learning_rate"),
+    ("eval_every", 0, "eval_every"), ("interaction_budget", 0, "interaction_budget"),
+    ("buffer_capacity", 0, "buffer_capacity"), ("updates_per_episode", -1, "updates_per_episode"),
+    ("gamma", 1.5, "gamma"), ("gamma", float("nan"), "gamma"), ("eval_gamma", -0.1, "eval_gamma"),
+    ("eval_gamma", float("nan"), "eval_gamma"), ("tau", 2.0, "tau"),
+    ("init_mf_epochs", -1, "init_mf_epochs"), ("init_mf_lr", float("nan"), "init_mf_lr"),
+    ("init_mf_reg", -0.1, "init_mf_reg"),
 ])
 def test_config_rejects_bad_embedding_settings(field, value, named):
     with pytest.raises(ValueError, match=f"{named} must be"):

@@ -3,10 +3,11 @@ assembly, run artifacts, comparisons, sweeps and the CLI surface."""
 
 import logging
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kgrec.experiments as experiments_module
 from kgrec import cli
@@ -210,6 +211,40 @@ def test_config_hash_is_pinned():
             "links = /data/world/kg_links.tsv\nout_dir = /runs/pinned\nseeds = 3,4\n"
             "eta = 0.2\nrating_min = 1.0\nhit_threshold = auto\n" + TRAINING_TEXT)
     assert parse_config_text(text).config_hash() == "822126ebd544512d"
+    # every default, the training ones included
+    assert parse_config_text("").config_hash() == "2eced3482a201533"
+
+
+_CONFIG_CHARS = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                              blacklist_characters="#")
+_SEGMENT = st.text(_CONFIG_CHARS.filter(lambda ch: ch != "/"), min_size=1, max_size=8)
+_VALUES = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(_CONFIG_CHARS, max_size=12).filter(lambda s: s == s.strip()),
+    "tuple[int, ...]": st.lists(st.integers(), max_size=4).map(tuple),
+}
+# path keys come back absolute, so only normalized absolute paths are fixed points
+_PATHS = st.just("") | st.lists(_SEGMENT.filter(lambda s: s not in (".", "..")),
+                                min_size=1, max_size=3).map(
+    lambda parts: "/" + "/".join(parts)).filter(lambda s: s == s.strip())
+
+
+def _field_values(f):
+    if f.name in ("ratings", "triples", "links", "out_dir"):
+        return _PATHS
+    kind, _, optional = f.type.partition(" | ")
+    return st.none() | _VALUES[kind] if optional == "None" else _VALUES[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({f.name: _field_values(f) for f in fields(ExperimentConfig)}))
+def test_canonical_text_round_trips_every_field(values):
+    cfg = ExperimentConfig(**values)
+    again = parse_config_text(cfg.canonical_text())
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
 
 
 def test_parse_config_resolves_paths_against_config_dir(tmp_path):
@@ -320,6 +355,18 @@ def test_ingest_binarization(tmp_path):
                            candidate_selection=False)
     ds = ingest(cfg)
     assert np.array_equal(ds.ratings, [1.0, 0.0, 1.0])
+
+
+def test_mf_variant_trains_on_positive_only_feedback(world, tmp_path):
+    # every rating binarizes to 1: the simulator's [0, 1] scale comes from the
+    # config, so the item-factor fit must not derive a scale of its own
+    cfg = _tiny_config(world, str(tmp_path / "out"), kg_embeddings="false",
+                       gcn_propagation="false", candidate_selection="false",
+                       binarize_threshold=0.5, rating_min=0, rating_max=1, seeds=0)
+    ds = ingest(cfg)
+    assert set(ds.ratings.tolist()) == {1.0}
+    (artifact,) = run_experiment(cfg)
+    assert artifact.curve[-1].interactions >= 16
 
 
 def test_ingest_keeps_unlinked_items_with_warning(tmp_path, caplog):
@@ -640,7 +687,10 @@ def test_cli_end_to_end(world, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("embedding_dim", "0"), ("transe_epochs", "-3"), ("transe_negatives", "0"),
-    ("transe_lr", "nan"), ("transe_margin", "inf"),
+    ("transe_lr", "nan"), ("transe_margin", "inf"), ("hidden_width", "0"),
+    ("learning_rate", "nan"), ("learning_rate", "-0.5"), ("eval_every", "0"), ("budget", "0"),
+    ("buffer_capacity", "0"), ("updates_per_episode", "-1"), ("gamma", "5"),
+    ("eval_gamma", "nan"), ("tau", "2"), ("init_mf_lr", "inf"),
 ])
 def test_cli_train_rejects_bad_embedding_settings_before_ingest(world, tmp_path, monkeypatch,
                                                                 key, value):

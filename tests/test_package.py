@@ -1,6 +1,7 @@
 """The package's exported names and the per-layer demos still work."""
 
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("demo", ["01_taped_gradients.py", "02_graph_candidates.py",
-                                  "03_transe_embeddings.py", "04_user_simulator.py"])
-def test_layer_demo_runs(demo, capsys):
+                                  "03_transe_embeddings.py", "04_user_simulator.py",
+                                  "05_train_agent.py"])
+def test_layer_demo_runs(demo, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where mkdtemp writes
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     assert capsys.readouterr().out
