@@ -15,8 +15,8 @@ from .transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pr
                      triple_distance)
 from .encoder import GcnParameters, GruParameters, encode_rows, gru_step_rows, propagate_all
 from .simulator import (EpisodeState, SimulatorModel, StepRecord, fit_mf,
-                        instinctive_reward, mf_loss_and_grads, popularity_table,
-                        preference_counts, reset, split_users, step)
+                        instinctive_reward, popularity_table, preference_counts, reset,
+                        split_users, step)
 from .agent import (AgentParameters, CurvePoint, Environment, Experience, Mlp,
                     QNetParameters, ReplayBuffer, TrainConfig, double_q_targets,
                     epsilon_greedy, evaluate_policy, initialize_parameters,
@@ -42,7 +42,7 @@ __all__ = [
     "epsilon_greedy", "evaluate_policy", "fit_mf", "generate", "gru_step_rows",
     "ingest", "initialize_parameters", "instinctive_reward",
     "interactions_to_threshold", "k_hop_sets", "load_checkpoint", "load_graph",
-    "margin_loss", "mf_loss_and_grads", "parse_config", "popularity_table",
+    "margin_loss", "parse_config", "popularity_table",
     "precision_at_horizon", "preference_counts", "propagate_all", "q_rows",
     "recall_at_horizon", "reset", "run_experiment", "save_checkpoint", "soft_update",
     "split_users", "step", "sweep_candidates", "td_loss", "train",

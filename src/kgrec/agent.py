@@ -1,9 +1,10 @@
 """Dueling double-DQN agent over graph-aware item and state encodings.
 
-The TD loss is taped and batched over rows (encode_rows, q_rows). Action
-selection, target computation and evaluation run plain-numpy forward
-passes of the same parameters (gru_step_np, score_candidates); the tests
-hold them equal to the taped forms.
+The TD loss is taped and batched over rows (encode_rows, q_rows). One
+episode loop serves training (epsilon-greedy, storing transitions) and
+evaluation (greedy or uniform random); it and the double-Q targets run
+plain-numpy forward passes of the same parameters (gru_step_np,
+score_candidates), which the tests hold equal to the taped forms.
 """
 
 from __future__ import annotations
@@ -338,15 +339,6 @@ def epsilon_greedy(items: Sequence[int], q_values: np.ndarray, epsilon: float,
     return int(ids[best].min())
 
 
-def select_action(params: AgentParameters, state_hidden: np.ndarray, candidates: Sequence[int],
-                  epsilon: float, rng: np.random.Generator | None,
-                  center: bool = False) -> int:
-    matrix = params.item_matrix_data()
-    vecs = matrix[params.source.rows(candidates)]
-    return epsilon_greedy(candidates, score_candidates(params.qnet, state_hidden, vecs, center),
-                          epsilon, rng)
-
-
 # -- targets and loss --------------------------------------------------
 
 
@@ -514,12 +506,37 @@ def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: T
     return params, qnet.clone()
 
 
-def _fold_hit(params: AgentParameters, matrix: np.ndarray, hidden: np.ndarray,
-              record) -> np.ndarray:
-    """The session state after a step: one GRU step on its item on a hit."""
-    if not record.hit:
-        return hidden
-    return gru_step_np(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
+def _episode(params: AgentParameters | None, env: Environment, graph: KnowledgeGraph | None,
+             cfg: TrainConfig, user: int, epsilon: float, rng: np.random.Generator | None,
+             buffer: ReplayBuffer | None = None) -> list:
+    """One episode; returns its step records. Each pass takes the last step
+    (first the popularity step of `reset`): a GRU step on its item on a hit
+    (with `params`), the next candidates (over `graph` when given) and, with
+    a `buffer`, the transition with that snapshot. The next item is
+    epsilon-greedy in Q with `params`, else uniform over the candidates."""
+    matrix = None if params is None else params.item_matrix_data()
+    hidden = np.zeros(cfg.embedding_dim)
+    state = reset(env.model, int(user), env.popularity)
+    clicked = ()
+    while True:
+        record = state.records[-1]
+        if params is not None and record.hit:
+            hidden = gru_step_np(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
+        observation, clicked = clicked, tuple(state.clicked)
+        candidates = () if state.done else build_candidates(env, graph, cfg, state.clicked,
+                                                            state.recommended)
+        if buffer is not None:
+            buffer.add(Experience(observation, record.item, record.reward, clicked, candidates,
+                                  state.done))
+        if state.done:
+            return state.records
+        if params is None:
+            item = candidates[rng.integers(len(candidates))]
+        else:
+            scores = score_candidates(params.qnet, hidden, matrix[params.source.rows(candidates)],
+                                      cfg.advantage_center)
+            item = epsilon_greedy(candidates, scores, epsilon, rng)
+        step(state, env.model, item)
 
 
 def run_training_episode(params: AgentParameters, env: Environment,
@@ -528,29 +545,7 @@ def run_training_episode(params: AgentParameters, env: Environment,
                          buffer: ReplayBuffer) -> list:
     """One simulated episode; every transition (popularity step included)
     is stored with its follow-up candidate snapshot."""
-    matrix = params.item_matrix_data()
-    state = reset(env.model, int(user), env.popularity)
-    first = state.records[0]
-    hidden = _fold_hit(params, matrix, np.zeros(cfg.embedding_dim), first)
-    candidates = () if state.done else build_candidates(env, graph, cfg, state.clicked,
-                                                        state.recommended)
-    buffer.add(Experience(observation=(), action=first.item, reward=first.reward,
-                          next_observation=tuple(state.clicked), next_candidates=candidates,
-                          terminal=state.done))
-    while not state.done:
-        obs = tuple(state.clicked)
-        vecs = matrix[params.source.rows(candidates)]
-        scores = score_candidates(params.qnet, hidden, vecs, cfg.advantage_center)
-        item = epsilon_greedy(candidates, scores, epsilon, rng)
-        reward, _ = step(state, env.model, item)
-        hidden = _fold_hit(params, matrix, hidden, state.records[-1])
-        next_candidates = () if state.done else build_candidates(env, graph, cfg, state.clicked,
-                                                                 state.recommended)
-        buffer.add(Experience(observation=obs, action=item, reward=reward,
-                              next_observation=tuple(state.clicked),
-                              next_candidates=next_candidates, terminal=state.done))
-        candidates = next_candidates
-    return state.records
+    return _episode(params, env, graph, cfg, user, epsilon, rng, buffer)
 
 
 def evaluate_policy(params: AgentParameters | None, env: Environment,
@@ -563,28 +558,13 @@ def evaluate_policy(params: AgentParameters | None, env: Environment,
     """
     if mode not in ("greedy", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "random" and rng is None:
-        raise ValueError("random mode requires an rng")
-    logs = []
-    matrix = params.item_matrix_data() if params is not None else None
-    for user in env.test_users:
-        state = reset(env.model, int(user), env.popularity)
-        hidden = np.zeros(cfg.embedding_dim)
-        if mode == "greedy":
-            hidden = _fold_hit(params, matrix, hidden, state.records[0])
-        while not state.done:
-            if mode == "random":
-                unseen = [i for i in env.item_ids() if i not in state.recommended]
-                item = int(unseen[rng.integers(len(unseen))])
-            else:
-                candidates = build_candidates(env, graph, cfg, state.clicked, state.recommended)
-                item = select_action(params, hidden, candidates, 0.0, None,
-                                     cfg.advantage_center)
-            step(state, env.model, item)
-            if mode == "greedy":
-                hidden = _fold_hit(params, matrix, hidden, state.records[-1])
-        logs.append(state.records)
-    return logs
+    if mode == "greedy" and params is None:
+        raise ValueError("greedy mode requires parameters")
+    if mode == "random":
+        if rng is None:
+            raise ValueError("random mode requires an rng")
+        params, graph = None, None
+    return [_episode(params, env, graph, cfg, user, 0.0, rng) for user in env.test_users]
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -68,8 +69,18 @@ class ExperimentConfig(TrainSettings):
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.seeds:
             raise ValueError("need at least one run seed")
-        if self.min_user_interactions < 0:
-            raise ValueError("min_user_interactions must be >= 0")
+        for name, low in (("min_user_interactions", 0), ("sim_dim", 1), ("sim_epochs", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("sim_lr", "sim_reg"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("rating_min", "rating_max", "hit_threshold", "binarize_threshold"):
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if None not in (self.rating_min, self.rating_max) and self.rating_min >= self.rating_max:
+            raise ValueError(f"rating_min must be < rating_max, got "
+                             f"[{self.rating_min}, {self.rating_max}]")
         parse_sizes(self.candidate_sizes)
         for path in (self.ratings, self.triples, self.links):
             if path and not os.path.exists(path):
@@ -278,12 +289,6 @@ CURVE_HEADER = "interactions,reward,precision,recall,seed"
 def curve_csv_text(curve: list[CurvePoint], seed: int) -> str:
     return csv_text(CURVE_HEADER, ((pt.interactions, pt.reward, pt.precision, pt.recall, seed)
                                    for pt in curve))
-
-
-def read_curve(path: str) -> list[CurvePoint]:
-    return [CurvePoint(interactions=int(inter), reward=float(reward),
-                       precision=float(precision), recall=float(recall))
-            for inter, reward, precision, recall, _ in read_csv(path, CURVE_HEADER)]
 
 
 def interactions_to_threshold(curve: list[CurvePoint], threshold: float) -> int | None:

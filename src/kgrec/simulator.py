@@ -72,37 +72,6 @@ class EpisodeState:
     records: list[StepRecord] = field(default_factory=list)
 
 
-def mf_loss_and_grads(user_factors, item_factors, user_bias, item_bias, global_mean,
-                      users, items, ratings, reg):
-    """Mean squared error with L2 penalty, and its gradients.
-
-    The penalty applies to the factor rows and biases of the observed
-    pairs, weighted per observation as in the update rule.
-    """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    ratings = np.asarray(ratings, dtype=np.float64)
-    n = users.shape[0]
-    pred = (global_mean + user_bias[users] + item_bias[items]
-            + np.einsum("ij,ij->i", user_factors[users], item_factors[items]))
-    err = pred - ratings
-    p = user_factors[users]
-    q = item_factors[items]
-    loss = float((err**2).mean()
-                 + reg * ((p * p).sum() + (q * q).sum()
-                          + (user_bias[users]**2).sum() + (item_bias[items]**2).sum()) / n)
-    du = np.zeros_like(user_factors)
-    di = np.zeros_like(item_factors)
-    dbu = np.zeros_like(user_bias)
-    dbi = np.zeros_like(item_bias)
-    w = 2.0 / n
-    np.add.at(du, users, w * (err[:, None] * q + reg * p))
-    np.add.at(di, items, w * (err[:, None] * p + reg * q))
-    np.add.at(dbu, users, w * (err + reg * user_bias[users]))
-    np.add.at(dbi, items, w * (err + reg * item_bias[items]))
-    return loss, du, di, dbu, dbi
-
-
 def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
            epochs: int = 50, learning_rate: float = 0.01, reg: float = 0.02,
            seed: int = 0, rating_min: float | None = None, rating_max: float | None = None,

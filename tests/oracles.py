@@ -4,14 +4,18 @@ The cached forms here are what a faster function in `kgrec` must
 reproduce bit for bit, on random inputs and on whole training runs. The
 one-row and per-item forms state a batched computation for one sample,
 so tests can check it against finite differences and hand-derived
-equations.
+equations. The rest are helpers only the tests call: a single action pick,
+the simulator's batch MF loss and a curve CSV reader.
 """
 
 import numpy as np
 
-from kgrec.agent import double_q_targets, gru_step_np, q_rows, score_candidates
+from kgrec.agent import (CurvePoint, double_q_targets, epsilon_greedy, gru_step_np, q_rows,
+                         score_candidates)
 from kgrec.encoder import gru_step_rows
+from kgrec.experiments import CURVE_HEADER
 from kgrec.graph import CandidateSet, k_hop_sets
+from kgrec.textio import read_csv
 
 
 def gru_step(p, h_prev, item_vec, tape):
@@ -135,3 +139,49 @@ def transe_loss_and_grads_add_at(entities, relations, pos, neg, margin):
     np.add.at(de, neg[:, 2], w * un)
     np.add.at(dr, neg[:, 1], -w * un)
     return loss, de, dr
+
+
+def select_action(params, state_hidden, candidates, epsilon, rng, center=False):
+    """One epsilon-greedy pick, as the episode loop makes it, for a given state."""
+    vecs = params.item_matrix_data()[params.source.rows(candidates)]
+    return epsilon_greedy(candidates, score_candidates(params.qnet, state_hidden, vecs, center),
+                          epsilon, rng)
+
+
+def mf_loss_and_grads(user_factors, item_factors, user_bias, item_bias, global_mean,
+                      users, items, ratings, reg):
+    """Mean squared error of the biased-MF simulator with L2 penalty, and its
+    gradients; the simulator itself fits by per-rating SGD.
+
+    The penalty applies to the factor rows and biases of the observed
+    pairs, weighted per observation as in the update rule.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    ratings = np.asarray(ratings, dtype=np.float64)
+    n = users.shape[0]
+    pred = (global_mean + user_bias[users] + item_bias[items]
+            + np.einsum("ij,ij->i", user_factors[users], item_factors[items]))
+    err = pred - ratings
+    p = user_factors[users]
+    q = item_factors[items]
+    loss = float((err**2).mean()
+                 + reg * ((p * p).sum() + (q * q).sum()
+                          + (user_bias[users]**2).sum() + (item_bias[items]**2).sum()) / n)
+    du = np.zeros_like(user_factors)
+    di = np.zeros_like(item_factors)
+    dbu = np.zeros_like(user_bias)
+    dbi = np.zeros_like(item_bias)
+    w = 2.0 / n
+    np.add.at(du, users, w * (err[:, None] * q + reg * p))
+    np.add.at(di, items, w * (err[:, None] * p + reg * q))
+    np.add.at(dbu, users, w * (err + reg * user_bias[users]))
+    np.add.at(dbi, items, w * (err + reg * item_bias[items]))
+    return loss, du, di, dbu, dbi
+
+
+def read_curve(path):
+    """Parse a `curve.csv` written by `kgrec.experiments.curve_csv_text`."""
+    return [CurvePoint(interactions=int(inter), reward=float(reward),
+                       precision=float(precision), recall=float(recall))
+            for inter, reward, precision, recall, _ in read_csv(path, CURVE_HEADER)]

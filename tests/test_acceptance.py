@@ -28,7 +28,6 @@ from kgrec.agent import (
     load_checkpoint,
     q_rows,
     save_checkpoint,
-    select_action,
     soft_update,
     td_loss,
     train,
@@ -54,12 +53,11 @@ from kgrec.simulator import (
     EpisodeState,
     SimulatorModel,
     fit_mf,
-    mf_loss_and_grads,
     step,
 )
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import transe_loss_and_grads
-from oracles import gru_step, q_value
+from oracles import gru_step, mf_loss_and_grads, q_value, select_action
 
 SEEDS = (0, 1, 2)
 

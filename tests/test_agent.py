@@ -32,7 +32,6 @@ from kgrec.agent import (
     run_training_episode,
     save_checkpoint,
     score_candidates,
-    select_action,
     soft_update,
     td_loss,
     train,
@@ -46,7 +45,7 @@ from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
 from oracles import (candidate_items_bfs, compute_targets_per_sample, fold_history_np,
-                     q_value, sigmoid_masked, transe_loss_and_grads_add_at)
+                     q_value, select_action, sigmoid_masked, transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -596,12 +595,15 @@ def test_td_loss_gradients_flow_through_propagation():
 # -- episodes and training -----------------------------------------------
 
 
-def test_training_episode_fills_buffer_with_chained_transitions():
+@pytest.mark.parametrize("with_graph", [False, True])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_training_episode_fills_buffer_with_chained_transitions(epsilon, with_graph):
     env = _tiny_world()
-    cfg = _mf_cfg()
-    params, _ = initialize_parameters(env, None, cfg, seed=1)
+    graph = _ring_graph(8) if with_graph else None
+    cfg = _cfg() if with_graph else _mf_cfg()
+    params, _ = initialize_parameters(env, graph, cfg, seed=1)
     buf = ReplayBuffer(64)
-    records = run_training_episode(params, env, None, cfg, user=0, epsilon=0.3,
+    records = run_training_episode(params, env, graph, cfg, user=0, epsilon=epsilon,
                                    rng=np.random.default_rng(2), buffer=buf)
     assert len(records) == cfg.horizon
     assert len(buf) == cfg.horizon
@@ -610,8 +612,11 @@ def test_training_episode_fills_buffer_with_chained_transitions():
     assert batch[0].action == int(env.popularity[0])
     actions = [e.action for e in batch]
     assert len(set(actions)) == len(actions)  # no-repeat protocol
+    assert actions == [r.item for r in records]
     for prev, nxt in zip(batch, batch[1:]):
         assert prev.next_observation == nxt.observation
+        # the stored snapshot is the set the next action was chosen from
+        assert nxt.action in prev.next_candidates
     for e in batch[:-1]:
         assert not e.terminal
         assert e.next_candidates
@@ -726,10 +731,19 @@ def test_evaluate_policy_modes_and_validation():
         assert len(set(items)) == len(items)
         assert all(i in set(int(x) for x in env.items) for i in items)
 
+    # random mode picks over the unseen catalog, never over k-hop candidates
+    assert cfg.candidate_selection
+    with_graph = evaluate_policy(None, env, graph, cfg, mode="random",
+                                 rng=np.random.default_rng(4))
+    assert [[r.item for r in log] for log in with_graph] == \
+           [[r.item for r in log] for log in rand]
+
     with pytest.raises(ValueError):
         evaluate_policy(params, env, graph, cfg, mode="softmax")
     with pytest.raises(ValueError):
         evaluate_policy(None, env, None, cfg, mode="random", rng=None)
+    with pytest.raises(ValueError, match="greedy"):
+        evaluate_policy(None, env, graph, cfg, mode="greedy")
 
 
 def test_environment_counts_preferences_over_catalog():

@@ -23,11 +23,11 @@ from kgrec.experiments import (
     parse_config,
     parse_config_text,
     parse_sizes,
-    read_curve,
     run_experiment,
     sweep_candidates,
 )
 from kgrec.synth import SynthSpec, generate, write_dataset
+from oracles import read_curve
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +292,34 @@ def test_validate_catches_semantic_errors(world, tmp_path):
     missing.ratings = str(tmp_path / "absent.tsv")
     with pytest.raises(ValueError, match="does not exist"):
         missing.validate()
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(sim_dim=0), "sim_dim"),
+    (dict(sim_epochs=-1), "sim_epochs"),
+    (dict(sim_lr="nan"), "sim_lr"),
+    (dict(sim_lr=-0.1), "sim_lr"),
+    (dict(sim_reg="inf"), "sim_reg"),
+    (dict(rating_min="nan"), "rating_min"),
+    (dict(rating_max="inf"), "rating_max"),
+    (dict(hit_threshold="nan"), "hit_threshold"),
+    (dict(binarize_threshold="-inf"), "binarize_threshold"),
+    (dict(rating_min=5, rating_max=1), "rating_min"),
+    (dict(rating_min=3, rating_max=3), "rating_min"),
+])
+def test_validate_rejects_bad_simulator_keys_before_ingest(world, tmp_path, monkeypatch,
+                                                           kw, field):
+    cfg = _tiny_config(world, str(tmp_path / "out"), **kw)
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()
+
+    def no_ingest(config):
+        raise AssertionError("ingested")
+
+    monkeypatch.setattr(experiments_module, "ingest", no_ingest)
+    with pytest.raises(ValueError, match=field):
+        run_experiment(cfg)
+    assert not os.path.exists(tmp_path / "out")
 
 
 # -- ingestion -----------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import rel_error
 from kgrec.simulator import (EpisodeState, SimulatorModel, fit_mf, instinctive_reward,
-                             mf_loss_and_grads, popularity_table, preference_counts, reset,
-                             split_users, step)
+                             popularity_table, preference_counts, reset, split_users, step)
+from oracles import mf_loss_and_grads
 
 
 def _model(eta=0.1, horizon=8, hit_threshold=3.0, n_users=4, n_items=6, seed=0):
