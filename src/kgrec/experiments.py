@@ -175,6 +175,8 @@ def ingest(config: ExperimentConfig) -> Dataset:
             stamp = float(parts[3]) if len(parts) == 4 else 0.0
         except ValueError:
             raise ValueError(f"{config.ratings}:{lineno}: non-numeric rating or timestamp") from None
+        if not (math.isfinite(rating) and math.isfinite(stamp)):
+            raise ValueError(f"{config.ratings}:{lineno}: non-finite rating or timestamp")
         rows.append((stamp, lineno, parts[0], parts[1], rating))
     if not rows:
         raise ValueError(f"{config.ratings}: no interactions")

@@ -8,6 +8,7 @@ consecutive misses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +73,37 @@ class EpisodeState:
     records: list[StepRecord] = field(default_factory=list)
 
 
+def _waves(users: np.ndarray, items: np.ndarray, n_users: int, n_items: int):
+    """Cut a rating sequence into maximal runs with no repeated user or item.
+
+    Yields (start, stop) bounds; a rating opens a new run when its user or
+    its item already appears in the current one.
+    """
+    last_user = [-1] * n_users
+    last_item = [-1] * n_items
+    start = 0
+    for k, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
+        if last_user[u] >= start or last_item[i] >= start:
+            yield start, k
+            start = k
+        last_user[u] = k
+        last_item[i] = k
+    yield start, len(users)
+
+
 def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
            epochs: int = 50, learning_rate: float = 0.01, reg: float = 0.02,
            seed: int = 0, rating_min: float | None = None, rating_max: float | None = None,
            hit_threshold: float | None = None, eta: float = 0.1, horizon: int = 32) -> SimulatorModel:
     """Fit the biased-MF simulator by per-observation stochastic gradient descent.
+
+    Each epoch visits the ratings in one random permutation, one SGD step
+    per rating. The steps are applied in waves: a maximal run of the
+    permutation in which no user and no item repeats touches disjoint rows
+    of every parameter array, so one vector step applies the run with the
+    same scalar arithmetic, in the same order, as one step per rating. The
+    dot product is a stacked 1xd @ dx1 matmul, which numpy evaluates with
+    the same dot as `p[u] @ q[i]`; `einsum` would round differently.
 
     Args:
         users, items, ratings: parallel observation arrays (dense ids).
@@ -91,6 +118,24 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
     ratings = np.asarray(ratings, dtype=np.float64)
     if not (users.shape == items.shape == ratings.shape) or users.ndim != 1 or users.size == 0:
         raise ValueError("fit_mf: users/items/ratings must be equal-length non-empty 1-D arrays")
+    for name, ids, size_name, size in (("users", users, "n_users", n_users),
+                                       ("items", items, "n_items", n_items)):
+        if ids.min() < 0 or ids.max() >= size:
+            raise ValueError(f"fit_mf: {name} must lie in [0, {size_name}={size}), "
+                             f"got ids in [{ids.min()}, {ids.max()}]")
+    if dim < 1:
+        raise ValueError(f"fit_mf: dim must be >= 1, got {dim}")
+    if epochs < 0:
+        raise ValueError(f"fit_mf: epochs must be >= 0, got {epochs}")
+    for name, value in (("learning_rate", learning_rate), ("reg", reg)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"fit_mf: {name} must be finite and >= 0, got {value}")
+    if not np.isfinite(ratings).all():
+        raise ValueError("fit_mf: ratings must be finite")
+    lo = float(ratings.min()) if rating_min is None else float(rating_min)
+    hi = float(ratings.max()) if rating_max is None else float(rating_max)
+    if not hi > lo:
+        raise ValueError(f"degenerate rating scale: [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, 0.1, size=(n_users, dim))
     q = rng.normal(0.0, 0.1, size=(n_items, dim))
@@ -99,20 +144,19 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
     mu = float(ratings.mean())
     lr = learning_rate
     for _ in range(epochs):
-        for k in rng.permutation(users.size):
-            u, i, r = users[k], items[k], ratings[k]
-            err = mu + bu[u] + bi[i] + p[u] @ q[i] - r
-            pu = p[u].copy()
-            p[u] -= lr * (err * q[i] + reg * p[u])
-            q[i] -= lr * (err * pu + reg * q[i])
-            bu[u] -= lr * (err + reg * bu[u])
-            bi[i] -= lr * (err + reg * bi[i])
+        order = rng.permutation(users.size)
+        eu, ei, er = users[order], items[order], ratings[order]
+        for start, stop in _waves(eu, ei, n_users, n_items):
+            u, i = eu[start:stop], ei[start:stop]
+            pu, qi, bu_u, bi_i = p[u], q[i], bu[u], bi[i]
+            dot = np.matmul(pu[:, None, :], qi[:, :, None])[:, 0, 0]
+            err = mu + bu_u + bi_i + dot - er[start:stop]
+            p[u] = pu - lr * (err[:, None] * qi + reg * pu)
+            q[i] = qi - lr * (err[:, None] * pu + reg * qi)
+            bu[u] = bu_u - lr * (err + reg * bu_u)
+            bi[i] = bi_i - lr * (err + reg * bi_i)
     pred = mu + bu[users] + bi[items] + np.einsum("ij,ij->i", p[users], q[items])
     rmse = float(np.sqrt(((pred - ratings) ** 2).mean()))
-    lo = float(ratings.min()) if rating_min is None else float(rating_min)
-    hi = float(ratings.max()) if rating_max is None else float(rating_max)
-    if not hi > lo:
-        raise ValueError(f"degenerate rating scale: [{lo}, {hi}]")
     thr = 0.5 * (lo + hi) if hit_threshold is None else float(hit_threshold)
     return SimulatorModel(user_factors=p, item_factors=q, user_bias=bu, item_bias=bi,
                           global_mean=mu, rating_min=lo, rating_max=hi, hit_threshold=thr,

@@ -4,8 +4,9 @@ The cached forms here are what a faster function in `kgrec` must
 reproduce bit for bit, on random inputs and on whole training runs. The
 one-row and per-item forms state a batched computation for one sample,
 so tests can check it against finite differences and hand-derived
-equations. The rest are helpers only the tests call: a single action pick,
-the simulator's batch MF loss and a curve CSV reader.
+equations. The per-rating simulator fit is the loop the wave-scheduled
+`fit_mf` must reproduce. The rest are helpers only the tests call: a
+single action pick, the simulator's batch MF loss and a curve CSV reader.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from kgrec.agent import (CurvePoint, double_q_targets, epsilon_greedy, gru_step_
 from kgrec.encoder import gru_step_rows
 from kgrec.experiments import CURVE_HEADER
 from kgrec.graph import CandidateSet, k_hop_sets
+from kgrec.simulator import SimulatorModel
 from kgrec.textio import read_csv
 
 
@@ -146,6 +148,40 @@ def select_action(params, state_hidden, candidates, epsilon, rng, center=False):
     vecs = params.item_matrix_data()[params.source.rows(candidates)]
     return epsilon_greedy(candidates, score_candidates(params.qnet, state_hidden, vecs, center),
                           epsilon, rng)
+
+
+def fit_mf_loop(users, items, ratings, n_users, n_items, dim=20, epochs=50,
+                learning_rate=0.01, reg=0.02, seed=0, rating_min=None, rating_max=None,
+                hit_threshold=None, eta=0.1, horizon=32):
+    """`kgrec.simulator.fit_mf` as one scalar SGD step per rating, in the
+    order of each epoch's permutation, without argument checks."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    ratings = np.asarray(ratings, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    p = rng.normal(0.0, 0.1, size=(n_users, dim))
+    q = rng.normal(0.0, 0.1, size=(n_items, dim))
+    bu = np.zeros(n_users)
+    bi = np.zeros(n_items)
+    mu = float(ratings.mean())
+    lr = learning_rate
+    for _ in range(epochs):
+        for k in rng.permutation(users.size):
+            u, i, r = users[k], items[k], ratings[k]
+            err = mu + bu[u] + bi[i] + p[u] @ q[i] - r
+            pu = p[u].copy()
+            p[u] -= lr * (err * q[i] + reg * p[u])
+            q[i] -= lr * (err * pu + reg * q[i])
+            bu[u] -= lr * (err + reg * bu[u])
+            bi[i] -= lr * (err + reg * bi[i])
+    pred = mu + bu[users] + bi[items] + np.einsum("ij,ij->i", p[users], q[items])
+    rmse = float(np.sqrt(((pred - ratings) ** 2).mean()))
+    lo = float(ratings.min()) if rating_min is None else float(rating_min)
+    hi = float(ratings.max()) if rating_max is None else float(rating_max)
+    thr = 0.5 * (lo + hi) if hit_threshold is None else float(hit_threshold)
+    return SimulatorModel(user_factors=p, item_factors=q, user_bias=bu, item_bias=bi,
+                          global_mean=mu, rating_min=lo, rating_max=hi, hit_threshold=thr,
+                          eta=eta, horizon=horizon, train_rmse=rmse)
 
 
 def mf_loss_and_grads(user_factors, item_factors, user_bias, item_bias, global_mean,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kgrec.agent as agent_module
+import kgrec.experiments as experiments_module
 import kgrec.transe as transe_module
 from conftest import finite_difference, rel_error
 from kgrec.agent import (
@@ -44,8 +45,9 @@ from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
-from oracles import (candidate_items_bfs, compute_targets_per_sample, fold_history_np,
-                     q_value, select_action, sigmoid_masked, transe_loss_and_grads_add_at)
+from oracles import (candidate_items_bfs, compute_targets_per_sample, fit_mf_loop,
+                     fold_history_np, q_value, select_action, sigmoid_masked,
+                     transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -674,9 +676,9 @@ def test_full_variant_trains_end_to_end():
 
 
 def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
-    # the same training with the cached graph rows, the shared prefix folds,
-    # the unmasked sigmoid and the ordered TransE scatter swapped for their
-    # plain reference forms
+    # the same world and training with the wave-scheduled simulator fit, the
+    # cached graph rows, the shared prefix folds, the unmasked sigmoid and
+    # the ordered TransE scatter swapped for their plain reference forms
     paths = write_dataset(str(tmp_path / "world"),
                           generate(SynthSpec(clusters=3, items_per_cluster=8, users=60,
                                              home_ratings_per_user=2, out_ratings_per_user=2,
@@ -698,12 +700,22 @@ def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
         found.append(bool(cs))
         return cs
 
+    fits = []
+
+    def reference_fit(*args, **kwargs):
+        fits.append(kwargs)
+        return fit_mf_loop(*args, **kwargs)
+
+    monkeypatch.setattr(experiments_module, "fit_mf", reference_fit)
+    monkeypatch.setattr(agent_module, "fit_mf", reference_fit)
     monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
     monkeypatch.setattr(agent_module, "compute_targets", compute_targets_per_sample)
     monkeypatch.setattr(agent_module, "sigmoid", sigmoid_masked)
     monkeypatch.setattr(transe_module, "transe_loss_and_grads", transe_loss_and_grads_add_at)
-    _, _, reference = train(env, ds.graph, cfg, seed=3)
-    # both the linked candidates and the catalog fallback were exercised
+    _, _, reference = train(build_environment(ds, config), ds.graph, cfg, seed=3)
+    # the world was refitted by the loop, and both the linked candidates
+    # and the catalog fallback were exercised
+    assert fits
     assert any(found) and not all(found)
     assert curve_csv_text(curve, 3) == curve_csv_text(reference, 3)
 

@@ -426,6 +426,12 @@ def test_ingest_rejects_malformed_rows(tmp_path):
     with pytest.raises(ValueError, match="non-numeric"):
         ingest(ExperimentConfig(ratings=str(bad_value), kg_embeddings=False,
                                 gcn_propagation=False, candidate_selection=False))
+    for line in ("u1\ti2\tnan\n", "u1\ti2\tinf\n", "u1\ti2\t-inf\n", "u1\ti2\t4.0\tinf\n"):
+        non_finite = tmp_path / "non_finite.tsv"
+        non_finite.write_text("u0\ti0\t3.0\n" + line)
+        with pytest.raises(ValueError, match=r"non_finite\.tsv:2: non-finite"):
+            ingest(ExperimentConfig(ratings=str(non_finite), kg_embeddings=False,
+                                    gcn_propagation=False, candidate_selection=False))
     empty = tmp_path / "empty.tsv"
     empty.write_text("\n")
     with pytest.raises(ValueError, match="no interactions"):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rel_error
 from kgrec.simulator import (EpisodeState, SimulatorModel, fit_mf, instinctive_reward,
                              popularity_table, preference_counts, reset, split_users, step)
-from oracles import mf_loss_and_grads
+from oracles import fit_mf_loop, mf_loss_and_grads
 
 
 def _model(eta=0.1, horizon=8, hit_threshold=3.0, n_users=4, n_items=6, seed=0):
@@ -86,6 +87,67 @@ def test_fit_is_deterministic_and_validates():
         fit_mf([], [], [], 2, 2)
     with pytest.raises(ValueError):
         fit_mf(users, items, np.full(3, 2.0), 2, 2, epochs=1)  # degenerate scale
+    # each bad argument is named before the generator is built: the seed
+    # "unused" would make np.random.default_rng raise a TypeError
+    bad = [(dict(users=[-1, 0, 1], items=[0, -1, 1]), "users"),
+           (dict(users=[0, 2, 1]), "users"),
+           (dict(items=[0, -1, 1]), "items"),
+           (dict(items=[0, 1, 2]), "items"),
+           (dict(dim=0), "dim"),
+           (dict(epochs=-2), "epochs"),
+           (dict(learning_rate=float("nan")), "learning_rate"),
+           (dict(learning_rate=-0.01), "learning_rate"),
+           (dict(learning_rate=float("inf")), "learning_rate"),
+           (dict(reg=-0.1), "reg"),
+           (dict(reg=float("nan")), "reg"),
+           (dict(ratings=[4.0, float("nan"), 3.0]), "ratings"),
+           (dict(ratings=[4.0, 2.0, float("-inf")]), "ratings")]
+    for change, name in bad:
+        args = dict(users=users, items=items, ratings=ratings, n_users=2, n_items=2, dim=2,
+                    epochs=5, learning_rate=0.01, reg=0.02, seed="unused")
+        args.update(change)
+        with pytest.raises(ValueError, match=name):
+            fit_mf(**args)
+
+
+@st.composite
+def _mf_problems(draw):
+    n = draw(st.integers(1, 60))
+    # 1-4 ids repeat heavily and cut many short waves; a wide id range
+    # leaves long runs with no repeated user or item
+    spans = [draw(st.one_of(st.integers(1, 4), st.integers(5, 2000))) for _ in range(2)]
+    users, items = (draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+                    for span in spans)
+    ratings = draw(st.lists(st.one_of(st.sampled_from([1.0, 3.0, 5.0]), st.floats(0.0, 5.0)),
+                            min_size=n, max_size=n))
+    return dict(users=users, items=items, ratings=ratings,
+                n_users=spans[0] + draw(st.integers(0, 3)),
+                n_items=spans[1] + draw(st.integers(0, 3)),
+                dim=draw(st.integers(1, 64)), epochs=draw(st.integers(0, 5)),
+                learning_rate=draw(st.one_of(st.just(0.01), st.floats(0.0, 0.1))),
+                reg=draw(st.one_of(st.just(0.02), st.floats(0.0, 0.2))),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _problem(users, items, dim=16, epochs=5):
+    return dict(users=users, items=items, ratings=[1.0 + k % 5 for k in range(len(users))],
+                n_users=max(users) + 3, n_items=max(items) + 2, dim=dim, epochs=epochs,
+                learning_rate=0.01, reg=0.02, seed=11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mf_problems())
+@example(_problem([3], [1]))  # a single rating
+@example(_problem([2] * 9, [4] * 9))  # every rating on one (user, item) pair
+@example(_problem(list(range(40)), list(range(40)), dim=64))  # one wave per epoch
+def test_wave_fit_matches_per_rating_loop_bitwise(problem):
+    got = fit_mf(**problem, rating_min=0.0, rating_max=5.0)
+    want = fit_mf_loop(**problem, rating_min=0.0, rating_max=5.0)
+    for name in ("user_factors", "item_factors", "user_bias", "item_bias", "global_mean",
+                 "train_rmse"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_default_scale_and_threshold_from_data():
