@@ -3,8 +3,10 @@
 The TD loss is taped and batched over rows (encode_rows, q_rows). One
 episode loop serves training (epsilon-greedy, storing transitions) and
 evaluation (greedy or uniform random); it and the double-Q targets run
-plain-numpy forward passes of the same parameters (gru_step_np,
-score_candidates), which the tests hold equal to the taped forms.
+plain-numpy forward passes of the same parameters (gru_step_np, and
+score_candidates over int64 candidate-id arrays, writing into one
+ScoringWorkspace per episode or target batch), which the tests hold
+equal to the taped forms.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ class Mlp:
     def apply(self, x: Tensor, tape: Tape) -> Tensor:
         return tape.linear(tape.relu(tape.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        h = x @ self.w1.data.T + self.b1.data
+    def forward_np(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
+        h = np.matmul(x, self.w1.data.T, out=hidden)
+        h += self.b1.data
         np.maximum(h, 0.0, out=h)
         return h @ self.w2.data.T + self.b2.data
 
@@ -132,7 +135,7 @@ class Experience:
     action: int
     reward: float
     next_observation: tuple
-    next_candidates: tuple
+    next_candidates: np.ndarray
     terminal: bool
 
 
@@ -277,20 +280,12 @@ class Environment:
     train_interactions: tuple[np.ndarray, np.ndarray, np.ndarray]
     catalog: np.ndarray | None = None
     _pref_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _item_ids: tuple[np.ndarray, tuple] | None = field(default=None, repr=False, compare=False)
 
     def test_preference_counts(self) -> np.ndarray:
         if self._pref_cache is None:
             universe = self.items if self.catalog is None else self.catalog
             self._pref_cache = preference_counts(self.model, self.test_users, universe)
         return self._pref_cache
-
-    def item_ids(self) -> tuple:
-        """`items` as Python ints, in order; built once per `items` array, so
-        every catalog fallback (and the replay buffer) shares the same ints."""
-        if self._item_ids is None or self._item_ids[0] is not self.items:
-            self._item_ids = (self.items, tuple(int(i) for i in self.items))
-        return self._item_ids[1]
 
 
 # -- Q values ----------------------------------------------------------
@@ -304,19 +299,34 @@ def q_rows(states: Tensor, items: Tensor, qnet: QNetParameters, tape: Tape) -> T
     return tape.reshape(tape.add(v, a), (states.shape[0],))
 
 
+class ScoringWorkspace:
+    """Buffers score_candidates reuses for up to `rows` candidates: the
+    advantage input (state || candidate rows), refilled unless `holds` names
+    the same state and candidate arrays, and the first hidden layer."""
+
+    def __init__(self, rows: int, qnet: QNetParameters):
+        hidden, width = qnet.advantage.w1.shape
+        self.inputs, self.hidden = np.empty((rows, width)), np.empty((rows, hidden))
+        self.holds: tuple = (None, None)
+
+
 def score_candidates(qnet: QNetParameters, state_vec: np.ndarray, cand_vecs: np.ndarray,
-                     center: bool = False) -> np.ndarray:
-    """Inference-path Q over a candidate block for one state.
+                     center: bool = False, ws: ScoringWorkspace | None = None) -> np.ndarray:
+    """Inference-path Q over a candidate block for one state, as a new array;
+    scratch goes to `ws` (a fresh workspace when none fits).
 
     With `center`, the mean advantage over the candidate set is subtracted
     (identifiability correction); the greedy argmax is unaffected.
     """
-    c = cand_vecs.shape[0]
-    a = qnet.advantage.forward_np(
-        np.concatenate([np.tile(state_vec, (c, 1)), cand_vecs], axis=1))[:, 0]
+    c, d = cand_vecs.shape
+    if ws is None or len(ws.inputs) < c:
+        ws = ScoringWorkspace(c, qnet)
+    if ws.holds[0] is not state_vec or ws.holds[1] is not cand_vecs:
+        ws.inputs[:c, :d], ws.inputs[:c, d:] = state_vec, cand_vecs
+        ws.holds = (state_vec, cand_vecs)
+    a = qnet.advantage.forward_np(ws.inputs[:c], ws.hidden[:c])[:, 0]
     if qnet.value_input == "state":
-        v = qnet.value.forward_np(state_vec[None, :])[0, 0]
-        q = v + a
+        q = qnet.value.forward_np(state_vec[None, :])[0, 0] + a
     else:
         q = qnet.value.forward_np(cand_vecs)[:, 0] + a
     if center:
@@ -324,7 +334,7 @@ def score_candidates(qnet: QNetParameters, state_vec: np.ndarray, cand_vecs: np.
     return q
 
 
-def epsilon_greedy(items: Sequence[int], q_values: np.ndarray, epsilon: float,
+def epsilon_greedy(items: np.ndarray, q_values: np.ndarray, epsilon: float,
                    rng: np.random.Generator | None) -> int:
     """Greedy with ties broken by lowest item id; explore uniformly w.p. epsilon."""
     if len(items) == 0:
@@ -334,9 +344,7 @@ def epsilon_greedy(items: Sequence[int], q_values: np.ndarray, epsilon: float,
             raise ValueError("epsilon > 0 requires an rng")
         if rng.random() < epsilon:
             return int(items[rng.integers(len(items))])
-    ids = np.asarray(items)
-    best = q_values == q_values.max()
-    return int(ids[best].min())
+    return int(np.asarray(items)[q_values == q_values.max()].min())
 
 
 # -- targets and loss --------------------------------------------------
@@ -381,17 +389,16 @@ def compute_targets(batch: Sequence[Experience], params: AgentParameters,
     this call to its state, and only the unseen suffix is stepped.
     """
     matrix = params.item_matrix_data()
-    rewards = [e.reward for e in batch]
-    terminals = [e.terminal for e in batch]
     online_q: list[np.ndarray] = []
     target_q: list[np.ndarray] = []
     folded: dict[tuple, np.ndarray] = {(): np.zeros(params.gru.dim)}
+    ws = ScoringWorkspace(max((len(e.next_candidates) for e in batch), default=0), params.qnet)
     for e in batch:
         if e.terminal:
             online_q.append(np.empty(0))
             target_q.append(np.empty(0))
             continue
-        if not e.next_candidates:
+        if len(e.next_candidates) == 0:
             raise ValueError("non-terminal experience with no next candidates")
         history = tuple(e.next_observation)
         rows = params.source.rows(history)
@@ -403,9 +410,10 @@ def compute_targets(batch: Sequence[Experience], params: AgentParameters,
             h = gru_step_np(params.gru, h, matrix[rows[m]])
             folded[history[:m + 1]] = h
         vecs = matrix[params.source.rows(e.next_candidates)]
-        online_q.append(score_candidates(params.qnet, h, vecs, center))
-        target_q.append(score_candidates(target_qnet, h, vecs, center))
-    return double_q_targets(rewards, terminals, online_q, target_q, gamma)
+        online_q.append(score_candidates(params.qnet, h, vecs, center, ws))
+        target_q.append(score_candidates(target_qnet, h, vecs, center, ws))
+    return double_q_targets([e.reward for e in batch], [e.terminal for e in batch],
+                            online_q, target_q, gamma)
 
 
 def td_loss(batch: Sequence[Experience], params: AgentParameters, targets: np.ndarray,
@@ -433,20 +441,21 @@ def soft_update(online: QNetParameters, target: QNetParameters, tau: float) -> N
 
 
 def build_candidates(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
-                     clicked: Sequence[int], recommended: set) -> tuple:
-    """Candidate items for the next step; falls back to the unseen catalog.
+                     clicked: Sequence[int], recommended: set) -> np.ndarray:
+    """Candidate item ids (int64) for the next step; falls back to the unseen catalog.
 
     With candidate selection on and a non-empty click history, the k-hop
     linked-item set (minus already recommended) is used; when that comes
-    back empty, or selection is off, every unseen catalog item is offered.
+    back empty, or selection is off, every unseen item is offered, in
+    `env.items` order.
     """
     if cfg.candidate_selection and graph is not None and clicked:
         seeds = [graph.item_to_entity[i] for i in clicked]
         max_size = cfg.candidate_size if cfg.candidate_size is not None else len(env.items)
         cs = candidate_items(graph, seeds, cfg.hops, max_size, exclude=recommended)
         if cs:
-            return cs.items
-    return tuple(i for i in env.item_ids() if i not in recommended)
+            return np.array(cs.items, dtype=np.int64)
+    return np.asarray(env.items, np.int64)[~np.isin(env.items, np.fromiter(recommended, np.int64))]
 
 
 def epsilon_at(interactions: int, cfg: TrainConfig) -> float:
@@ -515,6 +524,7 @@ def _episode(params: AgentParameters | None, env: Environment, graph: KnowledgeG
     a `buffer`, the transition with that snapshot. The next item is
     epsilon-greedy in Q with `params`, else uniform over the candidates."""
     matrix = None if params is None else params.item_matrix_data()
+    ws = None if params is None else ScoringWorkspace(len(env.items), params.qnet)
     hidden = np.zeros(cfg.embedding_dim)
     state = reset(env.model, int(user), env.popularity)
     clicked = ()
@@ -523,18 +533,18 @@ def _episode(params: AgentParameters | None, env: Environment, graph: KnowledgeG
         if params is not None and record.hit:
             hidden = gru_step_np(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
         observation, clicked = clicked, tuple(state.clicked)
-        candidates = () if state.done else build_candidates(env, graph, cfg, state.clicked,
-                                                            state.recommended)
+        candidates = (np.empty(0, np.int64) if state.done else
+                      build_candidates(env, graph, cfg, state.clicked, state.recommended))
         if buffer is not None:
             buffer.add(Experience(observation, record.item, record.reward, clicked, candidates,
                                   state.done))
         if state.done:
             return state.records
         if params is None:
-            item = candidates[rng.integers(len(candidates))]
+            item = int(candidates[rng.integers(len(candidates))])
         else:
             scores = score_candidates(params.qnet, hidden, matrix[params.source.rows(candidates)],
-                                      cfg.advantage_center)
+                                      cfg.advantage_center, ws)
             item = epsilon_greedy(candidates, scores, epsilon, rng)
         step(state, env.model, item)
 

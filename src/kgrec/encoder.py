@@ -2,10 +2,10 @@
 
 The GCN is one whole-graph propagation (propagate_all), used by training
 and, untaped, by inference. The taped GRU steps batches of rows
-(gru_step_rows), folded over click histories by encode_rows; inference
-steps one state at a time with `agent.gru_step_np`, in the episode loop
-and the double-Q targets. Per-item and one-row reference forms live with
-the tests, in `tests/oracles.py`.
+(gru_step_rows), folded over click histories by encode_rows. Inference,
+in the episode loop and the double-Q targets, steps one state at a time
+(`agent.gru_step_np`) and scores int64 candidate-id arrays in a reused
+`agent.ScoringWorkspace`. Reference forms are in `tests/oracles.py`.
 """
 
 from __future__ import annotations

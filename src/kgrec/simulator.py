@@ -130,6 +130,11 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
     for name, value in (("learning_rate", learning_rate), ("reg", reg)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"fit_mf: {name} must be finite and >= 0, got {value}")
+    for name, value in (("hit_threshold", hit_threshold), ("eta", eta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"fit_mf: {name} must be finite, got {value}")
+    if horizon < 1:
+        raise ValueError(f"fit_mf: horizon must be >= 1, got {horizon}")
     if not np.isfinite(ratings).all():
         raise ValueError("fit_mf: ratings must be finite")
     lo = float(ratings.min()) if rating_min is None else float(rating_min)

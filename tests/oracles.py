@@ -5,8 +5,10 @@ reproduce bit for bit, on random inputs and on whole training runs. The
 one-row and per-item forms state a batched computation for one sample,
 so tests can check it against finite differences and hand-derived
 equations. The per-rating simulator fit is the loop the wave-scheduled
-`fit_mf` must reproduce. The rest are helpers only the tests call: a
-single action pick, the simulator's batch MF loss and a curve CSV reader.
+`fit_mf` must reproduce, and the allocating candidate scorer is the one
+the workspace form of `score_candidates` must reproduce. The rest are
+helpers only the tests call: a single action pick, the simulator's batch
+MF loss and a curve CSV reader.
 """
 
 import numpy as np
@@ -78,6 +80,28 @@ def candidate_items_bfs(g, seeds, k, max_size, exclude=()):
                         seeds=frozenset(seeds))
 
 
+def _mlp_alloc(mlp, x):
+    h = x @ mlp.w1.data.T + mlp.b1.data
+    np.maximum(h, 0.0, out=h)
+    return h @ mlp.w2.data.T + mlp.b2.data
+
+
+def score_candidates_alloc(qnet, state_vec, cand_vecs, center=False):
+    """`kgrec.agent.score_candidates` building the advantage input by tiling
+    the state and concatenating the candidates, with fresh temporaries."""
+    c = cand_vecs.shape[0]
+    a = _mlp_alloc(qnet.advantage,
+                   np.concatenate([np.tile(state_vec, (c, 1)), cand_vecs], axis=1))[:, 0]
+    if qnet.value_input == "state":
+        v = _mlp_alloc(qnet.value, state_vec[None, :])[0, 0]
+        q = v + a
+    else:
+        q = _mlp_alloc(qnet.value, cand_vecs)[:, 0] + a
+    if center:
+        q = q - a.mean()
+    return q
+
+
 def fold_history_np(gru, matrix, rows):
     """Inference-path GRU fold over item rows, from the zero state."""
     h = np.zeros(gru.dim)
@@ -87,7 +111,8 @@ def fold_history_np(gru, matrix, rows):
 
 
 def compute_targets_per_sample(batch, params, target_qnet, gamma, center=False):
-    """`kgrec.agent.compute_targets` folding every history from the zero state."""
+    """`kgrec.agent.compute_targets` folding every history from the zero state
+    and scoring each head with the allocating scorer."""
     matrix = params.item_matrix_data()
     online_q, target_q = [], []
     for e in batch:
@@ -95,12 +120,12 @@ def compute_targets_per_sample(batch, params, target_qnet, gamma, center=False):
             online_q.append(np.empty(0))
             target_q.append(np.empty(0))
             continue
-        if not e.next_candidates:
+        if len(e.next_candidates) == 0:
             raise ValueError("non-terminal experience with no next candidates")
         h = fold_history_np(params.gru, matrix, params.source.rows(e.next_observation))
         vecs = matrix[params.source.rows(e.next_candidates)]
-        online_q.append(score_candidates(params.qnet, h, vecs, center))
-        target_q.append(score_candidates(target_qnet, h, vecs, center))
+        online_q.append(score_candidates_alloc(params.qnet, h, vecs, center))
+        target_q.append(score_candidates_alloc(target_qnet, h, vecs, center))
     return double_q_targets([e.reward for e in batch], [e.terminal for e in batch],
                             online_q, target_q, gamma)
 

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kgrec.agent as agent_module
 import kgrec.experiments as experiments_module
@@ -19,6 +20,7 @@ from kgrec.agent import (
     Mlp,
     QNetParameters,
     ReplayBuffer,
+    ScoringWorkspace,
     TrainConfig,
     VARIANTS,
     build_candidates,
@@ -46,8 +48,8 @@ from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
 from oracles import (candidate_items_bfs, compute_targets_per_sample, fit_mf_loop,
-                     fold_history_np, q_value, select_action, sigmoid_masked,
-                     transe_loss_and_grads_add_at)
+                     fold_history_np, q_value, score_candidates_alloc, select_action,
+                     sigmoid_masked, transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -185,6 +187,59 @@ def test_advantage_centering_shifts_scores_not_argmax():
         np.concatenate([np.tile(h, (7, 1)), vecs], axis=1))[:, 0]
     assert np.argmax(plain) == np.argmax(centered)
     np.testing.assert_allclose(centered, plain - a.mean(), atol=1e-12)
+
+
+def _nan_workspace(rows, qnet):
+    ws = ScoringWorkspace(rows, qnet)
+    ws.inputs.fill(np.nan)
+    ws.hidden.fill(np.nan)
+    return ws
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), value_input=st.sampled_from(["state", "item"]), center=st.booleans(),
+       dim=st.integers(1, 6), hidden=st.integers(1, 9), rows=st.integers(0, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_workspace_scoring_matches_allocating_form_bitwise(data, value_input, center, dim,
+                                                           hidden, rows, seed):
+    rng = np.random.default_rng(seed)
+    online = _qnet(rng, dim, hidden, value_input)
+    target = _qnet(rng, dim, hidden, value_input)
+    ws = _nan_workspace(rows, online)
+    h = rng.standard_normal(dim)
+    vecs = rng.standard_normal((data.draw(st.integers(1, rows + 4)), dim)) * 3.0
+    returned = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        # a new state, new candidates, or both; the other keeps its array object
+        change = data.draw(st.sampled_from(["state", "candidates", "both"])) if returned else ""
+        if change in ("state", "both"):
+            h = rng.standard_normal(dim)
+        if change in ("candidates", "both"):
+            vecs = rng.standard_normal((data.draw(st.integers(1, rows + 4)), dim)) * 3.0
+        c = len(vecs)
+        for qnet in (online, target, online):  # later heads reuse the held input
+            got = score_candidates(qnet, h, vecs, center, ws)
+            want = score_candidates_alloc(qnet, h, vecs, center)
+            assert got.shape == (c,) and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, ws.inputs) and not np.shares_memory(got, ws.hidden)
+            returned.append((got, got.copy()))
+        for got, first in returned:  # later calls never write into earlier results
+            assert got.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("rows", [2000, 1999])
+def test_workspace_scoring_is_exact_at_wide_world_shapes(rows):
+    rng = np.random.default_rng(17)
+    qnet = _qnet(rng, dim=16, hidden=32)
+    vecs = rng.standard_normal((2000, 16))
+    h = rng.standard_normal(16)
+    ws = _nan_workspace(rows, qnet)
+    for center in (False, True):
+        got = score_candidates(qnet, h, vecs, center, ws)
+        assert got.tobytes() == score_candidates_alloc(qnet, h, vecs, center).tobytes()
+    # a smaller block later in the same workspace sees none of the larger one
+    got = score_candidates(qnet, h, vecs[:7], False, ws)
+    assert got.tobytes() == score_candidates_alloc(qnet, h, vecs[:7]).tobytes()
 
 
 def test_soft_update_blends_and_validates():
@@ -419,42 +474,44 @@ def test_build_candidates_khop_and_fallback():
     graph = _ring_graph(8)
     cfg = _cfg(hops=1, candidate_size=10)
     # no clicks yet: full unseen catalog, sorted
-    assert build_candidates(env, graph, cfg, [], set()) == tuple(range(8))
-    assert build_candidates(env, graph, cfg, [], {2, 5}) == (0, 1, 3, 4, 6, 7)
+    assert np.array_equal(build_candidates(env, graph, cfg, [], set()), np.arange(8))
+    assert np.array_equal(build_candidates(env, graph, cfg, [], {2, 5}), [0, 1, 3, 4, 6, 7])
     # one click on item 0: the ring offers exactly its 1-hop successor
-    assert build_candidates(env, graph, cfg, [0], set()) == (1,)
+    linked = build_candidates(env, graph, cfg, [0], set())
+    assert linked.dtype == np.int64 and np.array_equal(linked, [1])
     # everything the graph reaches is already shown -> catalog fallback
     got = build_candidates(env, graph, cfg, [0], {1})
-    assert got == (0, 2, 3, 4, 5, 6, 7)
+    assert np.array_equal(got, [0, 2, 3, 4, 5, 6, 7])
 
 
 def test_build_candidates_truncation_and_unbounded():
     env = _tiny_world()
     graph = _ring_graph(8)
     by_hops = build_candidates(env, graph, _cfg(hops=3, candidate_size=2), [0], set())
-    assert by_hops == (1, 2)  # nearer hops win the cut
+    assert np.array_equal(by_hops, [1, 2])  # nearer hops win the cut
     unbounded = build_candidates(env, graph, _cfg(hops=3, candidate_size=None), [0], set())
-    assert unbounded == (1, 2, 3)
+    assert np.array_equal(unbounded, [1, 2, 3])
 
 
 def test_build_candidates_selection_off_uses_catalog():
     env = _tiny_world()
     graph = _ring_graph(8)
     cfg = _cfg(candidate_selection=False)
-    assert build_candidates(env, graph, cfg, [0], {0}) == tuple(range(1, 8))
+    assert np.array_equal(build_candidates(env, graph, cfg, [0], {0}), np.arange(1, 8))
 
 
-def test_catalog_fallback_shares_item_ids():
+def test_catalog_fallback_is_items_order_array():
     env = _tiny_world()
-    env.items = np.arange(1000, 1008)
+    env.items = np.array([1005, 1000, 1007, 1003, 1001, 1006, 1002, 1004], dtype=np.int32)
     cfg = _cfg(candidate_selection=False)
-    first = build_candidates(env, None, cfg, [], {1003})
-    again = build_candidates(env, None, cfg, [], set())
-    assert first == (1000, 1001, 1002, 1004, 1005, 1006, 1007)
-    assert all(type(i) is int for i in again)
-    assert first[0] is again[0]  # one int object per item, not one per fallback
+    got = build_candidates(env, None, cfg, [], {1003, 1007, 99})
+    assert got.dtype == np.int64 and got.ndim == 1
+    assert got.tolist() == [1005, 1000, 1001, 1006, 1002, 1004]  # `env.items` order
+    everything = build_candidates(env, None, cfg, [], set())
+    assert everything.dtype == np.int64 and everything.tolist() == env.items.tolist()
+    assert build_candidates(env, None, cfg, [], set(env.items.tolist())).size == 0
     env.items = np.arange(4)  # a new items array is picked up
-    assert build_candidates(env, None, cfg, [], {2}) == (0, 1, 3)
+    assert np.array_equal(build_candidates(env, None, cfg, [], {2}), [0, 1, 3])
 
 
 # -- targets and loss ----------------------------------------------------
@@ -619,11 +676,14 @@ def test_training_episode_fills_buffer_with_chained_transitions(epsilon, with_gr
         assert prev.next_observation == nxt.observation
         # the stored snapshot is the set the next action was chosen from
         assert nxt.action in prev.next_candidates
+    for e in batch:
+        assert e.next_candidates.dtype == np.int64
     for e in batch[:-1]:
         assert not e.terminal
-        assert e.next_candidates
+        assert len(e.next_candidates)
     assert batch[-1].terminal
-    assert batch[-1].next_candidates == ()
+    assert len(batch[-1].next_candidates) == 0
+    assert all(type(r.item) is int for r in records)
 
 
 def test_train_is_deterministic_per_seed():
@@ -677,8 +737,9 @@ def test_full_variant_trains_end_to_end():
 
 def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     # the same world and training with the wave-scheduled simulator fit, the
-    # cached graph rows, the shared prefix folds, the unmasked sigmoid and
-    # the ordered TransE scatter swapped for their plain reference forms
+    # cached graph rows, the shared prefix folds, the unmasked sigmoid, the
+    # ordered TransE scatter and the workspace scorer swapped for their plain
+    # reference forms
     paths = write_dataset(str(tmp_path / "world"),
                           generate(SynthSpec(clusters=3, items_per_cluster=8, users=60,
                                              home_ratings_per_user=2, out_ratings_per_user=2,
@@ -710,6 +771,9 @@ def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     monkeypatch.setattr(agent_module, "fit_mf", reference_fit)
     monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
     monkeypatch.setattr(agent_module, "compute_targets", compute_targets_per_sample)
+    monkeypatch.setattr(agent_module, "score_candidates",
+                        lambda qnet, state, vecs, center, ws: score_candidates_alloc(
+                            qnet, state, vecs, center))
     monkeypatch.setattr(agent_module, "sigmoid", sigmoid_masked)
     monkeypatch.setattr(transe_module, "transe_loss_and_grads", transe_loss_and_grads_add_at)
     _, _, reference = train(build_environment(ds, config), ds.graph, cfg, seed=3)

@@ -1,6 +1,7 @@
 """Graph convolution and session GRU: parity, gradients, invariants."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_error
 from kgrec.agent import gru_step_np
@@ -69,6 +70,27 @@ def test_batched_encode_matches_per_sample_folds():
         for i, hist in enumerate(histories):
             want = fold_history_np(gru, matrix, [row_of[h] for h in hist])
             assert rel_error(batched.data[i], want) < 1e-12, f"trial {trial} row {i}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), n_rows=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_encode_rows_matches_per_history_fold_property(data, dim, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    gru = GruParameters.init(dim, rng)
+    for b in (gru.b_update, gru.b_reset, gru.b_cand):
+        b.data = rng.standard_normal(dim)
+    matrix = rng.standard_normal((n_rows, dim)) * data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    # item ids map to shuffled rows, several items per row
+    row_of = rng.integers(0, n_rows, size=data.draw(st.integers(1, 12)))
+    item = st.integers(0, len(row_of) - 1)
+    histories = data.draw(st.lists(st.lists(item, max_size=9).map(tuple), max_size=7))
+    got = encode_rows(gru, Tensor(matrix), row_of, histories, Tape()).data
+    assert got.shape == (len(histories), dim)
+    for i, hist in enumerate(histories):
+        want = fold_history_np(gru, matrix, row_of[list(hist)])
+        # batched gemm and per-row gemv may round the last bits differently
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
 
 
 def test_history_order_matters():

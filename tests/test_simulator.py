@@ -101,13 +101,27 @@ def test_fit_is_deterministic_and_validates():
            (dict(reg=-0.1), "reg"),
            (dict(reg=float("nan")), "reg"),
            (dict(ratings=[4.0, float("nan"), 3.0]), "ratings"),
-           (dict(ratings=[4.0, 2.0, float("-inf")]), "ratings")]
+           (dict(ratings=[4.0, 2.0, float("-inf")]), "ratings"),
+           (dict(hit_threshold=float("nan")), "hit_threshold"),
+           (dict(hit_threshold=float("inf")), "hit_threshold"),
+           (dict(eta=float("nan")), "eta"),
+           (dict(eta=float("-inf")), "eta"),
+           (dict(horizon=0), "horizon"),
+           (dict(horizon=-3), "horizon")]
     for change, name in bad:
         args = dict(users=users, items=items, ratings=ratings, n_users=2, n_items=2, dim=2,
                     epochs=5, learning_rate=0.01, reg=0.02, seed="unused")
         args.update(change)
         with pytest.raises(ValueError, match=name):
             fit_mf(**args)
+    # boundary protocol constants are accepted
+    model = fit_mf(users, items, ratings, 2, 2, dim=2, epochs=1, hit_threshold=-7.5, eta=0.0,
+                   horizon=1)
+    assert (model.hit_threshold, model.eta, model.horizon) == (-7.5, 0.0, 1)
+    # a nan threshold used to give a model that never reports a hit
+    with pytest.raises(ValueError, match="hit_threshold"):
+        fit_mf([0, 1, 0], [0, 1, 1], [4.0, 2.0, 3.0], 2, 2, dim=2, epochs=1,
+               hit_threshold=float("nan"))
 
 
 @st.composite
