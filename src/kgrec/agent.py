@@ -115,16 +115,34 @@ class AgentParameters:
     gru: GruParameters
     qnet: QNetParameters
     version: int = 0
-    _matrix_cache: tuple[int, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _matrix_cache: tuple[int, Tape, Tensor, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def trainable(self) -> list[Tensor]:
         return self.source.tensors() + self.gru.tensors() + self.qnet.tensors()
 
+    def item_matrix(self) -> tuple[Tensor, Tape]:
+        """The propagated item matrix of this parameter version and the tape
+        that recorded it. One propagation per version serves inference and,
+        when td_loss is given that tape, the TD loss of the version's update."""
+        if self._matrix_cache is None or self._matrix_cache[0] != self.version:
+            tape = Tape()
+            matrix = self.source.matrix(tape)
+            self._matrix_cache = (self.version, tape, matrix, matrix.data)
+        return self._matrix_cache[2], self._matrix_cache[1]
+
     def item_matrix_data(self) -> np.ndarray:
         """Propagated item matrix for inference, cached per parameter version."""
-        if self._matrix_cache is None or self._matrix_cache[0] != self.version:
-            self._matrix_cache = (self.version, self.source.matrix(Tape()).data)
-        return self._matrix_cache[1]
+        self.item_matrix()
+        return self._matrix_cache[3]
+
+    def taped_matrix(self, tape: Tape) -> Tensor:
+        """The propagated item matrix on `tape`: the cached one when `tape` is
+        this version's tape, else a propagation recorded on `tape`."""
+        version, cached_tape, matrix, _ = self._matrix_cache or (None,) * 4
+        if cached_tape is tape and version == self.version:
+            return matrix
+        return self.source.matrix(tape)
 
 
 @dataclass(frozen=True)
@@ -419,7 +437,7 @@ def compute_targets(batch: Sequence[Experience], params: AgentParameters,
 def td_loss(batch: Sequence[Experience], params: AgentParameters, targets: np.ndarray,
             tape: Tape) -> Tensor:
     """Mean squared TD error; `targets` enter as constants."""
-    matrix = params.source.matrix(tape)
+    matrix = params.taped_matrix(tape)
     states = encode_rows(params.gru, matrix, params.source.row_of_item,
                          [e.observation for e in batch], tape)
     item_rows = params.source.rows([e.action for e in batch])
@@ -455,7 +473,11 @@ def build_candidates(env: Environment, graph: KnowledgeGraph | None, cfg: TrainC
         cs = candidate_items(graph, seeds, cfg.hops, max_size, exclude=recommended)
         if cs:
             return np.array(cs.items, dtype=np.int64)
-    return np.asarray(env.items, np.int64)[~np.isin(env.items, np.fromiter(recommended, np.int64))]
+    items = np.asarray(env.items, np.int64)
+    keep = np.ones(int(items.max(initial=-1)) + 1, dtype=bool)
+    shown = np.fromiter(recommended, np.int64, len(recommended))
+    keep[shown[(shown >= 0) & (shown < keep.size)]] = False
+    return items[keep[items]]
 
 
 def epsilon_at(interactions: int, cfg: TrainConfig) -> float:
@@ -635,7 +657,7 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
                 batch = buffer.sample(cfg.batch_size, rng_loop)
                 targets = compute_targets(batch, params, target, cfg.gamma,
                                           cfg.advantage_center)
-                tape = Tape()
+                tape = params.item_matrix()[1]
                 loss = td_loss(batch, params, targets, tape)
                 grads = tape.backward(loss, wrt=trainable)
                 adam_step(trainable, grads, adam)

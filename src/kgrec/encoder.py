@@ -11,6 +11,7 @@ in the episode loop and the double-Q targets, steps one state at a time
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -109,16 +110,22 @@ def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
     h = Tensor(np.zeros((b, dim)))
     if b == 0:
         return h
-    max_len = max((len(hs) for hs in histories), default=0)
-    for t in range(max_len):
-        rows = np.zeros(b, dtype=np.int64)
-        mask = np.zeros((b, dim))
-        for i, hs in enumerate(histories):
-            if len(hs) > t:
-                rows[i] = row_of[hs[t]]
-                mask[i, :] = 1.0
-        items = tape.gather_rows(item_matrix, rows)
-        items = tape.mul_const(items, mask)  # zero the padded rows' input
+    rows, valid = padded_rows(row_of, histories)
+    masks = np.repeat(valid[:, :, None].astype(np.float64), dim, axis=2)
+    for t in range(len(rows)):
+        items = tape.gather_rows(item_matrix, rows[t])
+        items = tape.mul_const(items, masks[t])  # zero the padded rows' input
         step = gru_step_rows(gru, h, items, tape)
-        h = tape.add(tape.mul_const(step, mask), tape.mul_const(h, 1.0 - mask))
+        h = tape.add(tape.mul_const(step, masks[t]), tape.mul_const(h, 1.0 - masks[t]))
     return h
+
+
+def padded_rows(row_of: np.ndarray, histories: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-padded (steps, B) matrix rows of B histories (row 0 in the
+    padding) and the (steps, B) mask of the real steps."""
+    lengths = np.fromiter(map(len, histories), np.int64, len(histories))
+    valid = np.arange(lengths.max(initial=0))[:, None] < lengths
+    rows = np.zeros(valid.shape, dtype=np.int64)
+    rows.T[valid.T] = row_of[np.fromiter(chain.from_iterable(histories), np.int64,
+                                         int(lengths.sum()))]
+    return rows, valid

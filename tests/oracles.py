@@ -168,6 +168,12 @@ def transe_loss_and_grads_add_at(entities, relations, pos, neg, margin):
     return loss, de, dr
 
 
+def catalog_fallback_isin(items, recommended):
+    """The catalog fallback of `kgrec.agent.build_candidates` as an `np.isin`
+    mask over `items`."""
+    return np.asarray(items, np.int64)[~np.isin(items, np.fromiter(recommended, np.int64))]
+
+
 def select_action(params, state_hidden, candidates, epsilon, rng, center=False):
     """One epsilon-greedy pick, as the episode loop makes it, for a given state."""
     vecs = params.item_matrix_data()[params.source.rows(candidates)]

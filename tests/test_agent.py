@@ -47,7 +47,7 @@ from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
-from oracles import (candidate_items_bfs, compute_targets_per_sample, fit_mf_loop,
+from oracles import (candidate_items_bfs, catalog_fallback_isin, compute_targets_per_sample, fit_mf_loop,
                      fold_history_np, q_value, score_candidates_alloc, select_action,
                      sigmoid_masked, transe_loss_and_grads_add_at)
 
@@ -512,6 +512,17 @@ def test_catalog_fallback_is_items_order_array():
     assert build_candidates(env, None, cfg, [], set(env.items.tolist())).size == 0
     env.items = np.arange(4)  # a new items array is picked up
     assert np.array_equal(build_candidates(env, None, cfg, [], {2}), [0, 1, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(st.integers(0, 70), unique=True, max_size=40),
+       shown=st.sets(st.integers(-3, 90), max_size=50), dtype=st.sampled_from([np.int32, np.int64]))
+def test_catalog_fallback_matches_isin_form(items, shown, dtype):
+    env = _tiny_world()
+    env.items = np.array(items, dtype=dtype)
+    got = build_candidates(env, None, _cfg(candidate_selection=False), [], shown)
+    want = catalog_fallback_isin(env.items, shown)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 # -- targets and loss ----------------------------------------------------
