@@ -18,10 +18,9 @@ from .simulator import (EpisodeState, SimulatorModel, StepRecord, fit_mf,
                         instinctive_reward, popularity_table, preference_counts, reset,
                         split_users, step)
 from .agent import (AgentParameters, CurvePoint, Environment, Experience, Mlp,
-                    QNetParameters, ReplayBuffer, TrainConfig, double_q_targets,
-                    epsilon_greedy, evaluate_policy, initialize_parameters,
-                    load_checkpoint, q_rows, save_checkpoint, soft_update, td_loss,
-                    train, variant_flags)
+                    QNetParameters, ReplayBuffer, TrainConfig, evaluate_policy,
+                    initialize_parameters, load_checkpoint, q_rows, save_checkpoint,
+                    soft_update, td_loss, train, variant_flags)
 from .metrics import (EvaluationReport, average_reward, build_report, episode_reward,
                       precision_at_horizon, recall_at_horizon, wilcoxon_signed_rank)
 from .experiments import (Dataset, ExperimentConfig, RunArtifacts, build_environment,
@@ -38,8 +37,8 @@ __all__ = [
     "ReplayBuffer", "RunArtifacts", "SimulatorModel", "StepRecord", "SynthData",
     "SynthSpec", "Tape", "Tensor", "TrainConfig", "TranseConfig", "adam_step",
     "average_reward", "build_environment", "build_graph", "build_report",
-    "candidate_items", "compare", "double_q_targets", "encode_rows", "episode_reward",
-    "epsilon_greedy", "evaluate_policy", "fit_mf", "generate", "gru_step_rows",
+    "candidate_items", "compare", "encode_rows", "episode_reward",
+    "evaluate_policy", "fit_mf", "generate", "gru_step_rows",
     "ingest", "initialize_parameters", "instinctive_reward",
     "interactions_to_threshold", "k_hop_sets", "load_checkpoint", "load_graph",
     "margin_loss", "parse_config", "popularity_table",

@@ -2,11 +2,12 @@
 
 The TD loss is taped and batched over rows (encode_rows, q_rows). One
 episode loop serves training (epsilon-greedy, storing transitions) and
-evaluation (greedy or uniform random); it and the double-Q targets run
-plain-numpy forward passes of the same parameters (gru_step_np, and
-score_candidates over int64 candidate-id arrays, writing into one
-ScoringWorkspace per episode or target batch), which the tests hold
-equal to the taped forms.
+evaluation (greedy, all test users in lockstep, or uniform random).
+Inference is batched numpy over the same parameters: one GRU row step
+(gru_step_np) for every state that moved, and one score_candidates call
+for many states' candidate sets, adding each state's half of the first
+advantage layer to the item half a QScorer holds per parameter version.
+The double-Q targets fold a replay batch as one padded GRU fold.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, glorot_uniform, sigmoid
-from .encoder import GcnParameters, GruParameters, encode_rows, propagate_all
+from .autodiff import Tape, Tensor, glorot_uniform
+from .encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, padded_rows,
+                      propagate_all)
 from .graph import KnowledgeGraph, candidate_items
 from .optim import AdamState, adam_step
 from .simulator import SimulatorModel, fit_mf, preference_counts, reset, step
@@ -46,9 +48,8 @@ class Mlp:
     def apply(self, x: Tensor, tape: Tape) -> Tensor:
         return tape.linear(tape.relu(tape.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
-    def forward_np(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
-        h = np.matmul(x, self.w1.data.T, out=hidden)
-        h += self.b1.data
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        h = x @ self.w1.data.T + self.b1.data
         np.maximum(h, 0.0, out=h)
         return h @ self.w2.data.T + self.b2.data
 
@@ -115,34 +116,25 @@ class AgentParameters:
     gru: GruParameters
     qnet: QNetParameters
     version: int = 0
-    _matrix_cache: tuple[int, Tape, Tensor, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def trainable(self) -> list[Tensor]:
         return self.source.tensors() + self.gru.tensors() + self.qnet.tensors()
 
-    def item_matrix(self) -> tuple[Tensor, Tape]:
-        """The propagated item matrix of this parameter version and the tape
-        that recorded it. One propagation per version serves inference and,
-        when td_loss is given that tape, the TD loss of the version's update."""
-        if self._matrix_cache is None or self._matrix_cache[0] != self.version:
-            tape = Tape()
-            matrix = self.source.matrix(tape)
-            self._matrix_cache = (self.version, tape, matrix, matrix.data)
-        return self._matrix_cache[2], self._matrix_cache[1]
-
     def item_matrix_data(self) -> np.ndarray:
         """Propagated item matrix for inference, cached per parameter version."""
-        self.item_matrix()
-        return self._matrix_cache[3]
+        if self._cache is None or self._cache[0] != self.version:
+            tape = Tape()
+            matrix = self.source.matrix(tape)
+            self._cache = (self.version, tape, matrix, matrix.data, QScorer(self.qnet, matrix.data))
+        return self._cache[3]
 
-    def taped_matrix(self, tape: Tape) -> Tensor:
-        """The propagated item matrix on `tape`: the cached one when `tape` is
-        this version's tape, else a propagation recorded on `tape`."""
-        version, cached_tape, matrix, _ = self._matrix_cache or (None,) * 4
-        if cached_tape is tape and version == self.version:
-            return matrix
-        return self.source.matrix(tape)
+    def item_matrix(self) -> tuple[Tape, Tensor, np.ndarray, "QScorer"]:
+        """This version's propagated item matrix (its tape, tensor and values)
+        and the online heads over it: one propagation per version serves
+        inference and, continued on that tape by td_loss, the update."""
+        self.item_matrix_data()
+        return self._cache[1:]
 
 
 @dataclass(frozen=True)
@@ -317,127 +309,114 @@ def q_rows(states: Tensor, items: Tensor, qnet: QNetParameters, tape: Tape) -> T
     return tape.reshape(tape.add(v, a), (states.shape[0],))
 
 
-class ScoringWorkspace:
-    """Buffers score_candidates reuses for up to `rows` candidates: the
-    advantage input (state || candidate rows), refilled unless `holds` names
-    the same state and candidate arrays, and the first hidden layer."""
-
-    def __init__(self, rows: int, qnet: QNetParameters):
-        hidden, width = qnet.advantage.w1.shape
-        self.inputs, self.hidden = np.empty((rows, width)), np.empty((rows, hidden))
-        self.holds: tuple = (None, None)
+SCORE_BLOCK = 1024  # most candidate rows one hidden-layer block holds
 
 
-def score_candidates(qnet: QNetParameters, state_vec: np.ndarray, cand_vecs: np.ndarray,
-                     center: bool = False, ws: ScoringWorkspace | None = None) -> np.ndarray:
-    """Inference-path Q over a candidate block for one state, as a new array;
-    scratch goes to `ws` (a fresh workspace when none fits).
+class QScorer:
+    """Q heads over one item matrix, with the item half of the first advantage
+    layer (bias included) and, for value_input "item", the value head
+    applied to every row once; scoring adds only each state's half."""
 
-    With `center`, the mean advantage over the candidate set is subtracted
-    (identifiability correction); the greedy argmax is unaffected.
+    def __init__(self, qnet: QNetParameters, matrix: np.ndarray):
+        dim = matrix.shape[1]
+        self.qnet = qnet
+        self.item_hidden = matrix @ qnet.advantage.w1.data[:, dim:].T + qnet.advantage.b1.data
+        self.item_value = (qnet.value.forward_np(matrix)[:, 0]
+                           if qnet.value_input == "item" else None)
+
+
+def score_candidates(scorer: QScorer, states: np.ndarray, rows: np.ndarray,
+                     sizes: np.ndarray, center: bool = False) -> np.ndarray:
+    """Inference-path Q over `rows`, the item-matrix rows of one candidate set
+    per state, sizes[i] rows for states[i], in hidden-layer blocks of at
+    most SCORE_BLOCK rows. With `center`, each set's mean advantage is
+    subtracted (identifiability correction); the greedy argmax is unaffected.
     """
-    c, d = cand_vecs.shape
-    if ws is None or len(ws.inputs) < c:
-        ws = ScoringWorkspace(c, qnet)
-    if ws.holds[0] is not state_vec or ws.holds[1] is not cand_vecs:
-        ws.inputs[:c, :d], ws.inputs[:c, d:] = state_vec, cand_vecs
-        ws.holds = (state_vec, cand_vecs)
-    a = qnet.advantage.forward_np(ws.inputs[:c], ws.hidden[:c])[:, 0]
-    if qnet.value_input == "state":
-        q = qnet.value.forward_np(state_vec[None, :])[0, 0] + a
+    adv = scorer.qnet.advantage
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    halves = states @ adv.w1.data[:, :states.shape[1]].T
+    hidden, share = np.empty((2, min(len(rows), SCORE_BLOCK), halves.shape[1]))
+    a = np.empty(len(rows))
+    for lo in range(0, len(rows), SCORE_BLOCK):
+        n = min(SCORE_BLOCK, len(rows) - lo)
+        # rows and owners index valid rows, so "clip" only skips a buffered copy
+        np.take(scorer.item_hidden, rows[lo:lo + n], axis=0, out=hidden[:n], mode="clip")
+        np.take(halves, owner[lo:lo + n], axis=0, out=share[:n], mode="clip")
+        hidden[:n] += share[:n]
+        np.maximum(hidden[:n], 0.0, out=hidden[:n])
+        np.matmul(hidden[:n], adv.w2.data[0], out=a[lo:lo + n])
+    a += adv.b2.data[0]
+    if scorer.qnet.value_input == "state":
+        q = scorer.qnet.value.forward_np(states)[owner, 0] + a
     else:
-        q = qnet.value.forward_np(cand_vecs)[:, 0] + a
+        q = scorer.item_value[rows] + a
     if center:
-        q = q - a.mean()
+        q -= np.repeat(np.add.reduceat(a, np.cumsum(sizes) - sizes) / sizes, sizes)
     return q
 
 
-def epsilon_greedy(items: np.ndarray, q_values: np.ndarray, epsilon: float,
-                   rng: np.random.Generator | None) -> int:
-    """Greedy with ties broken by lowest item id; explore uniformly w.p. epsilon."""
-    if len(items) == 0:
-        raise ValueError("empty candidate set")
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("epsilon > 0 requires an rng")
-        if rng.random() < epsilon:
-            return int(items[rng.integers(len(items))])
-    return int(np.asarray(items)[q_values == q_values.max()].min())
+def segment_argmax(q: np.ndarray, sizes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per consecutive segment of `q` of the given sizes, the least key over
+    the positions of its maximum: with positions as keys the first one, with
+    item ids the lowest id."""
+    starts = np.cumsum(sizes) - sizes
+    top = np.maximum.reduceat(q, starts).repeat(sizes)
+    return np.minimum.reduceat(np.where(q == top, keys, keys.max()), starts)
+
+
+def candidate_groups(sets: Iterable[tuple[int, np.ndarray]]
+                     ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Consecutive (key, candidate ids) pairs in groups of at most SCORE_BLOCK
+    ids (a larger set alone), as (keys, concatenated ids, set sizes). `sets`
+    is read lazily, one pair past the group it yields; no set may be empty."""
+    keys, group, size = [], [], 0
+    for key, ids in sets:
+        if len(ids) == 0:
+            raise ValueError(f"empty candidate set for {key}")
+        if group and size + len(ids) > SCORE_BLOCK:
+            yield keys, np.concatenate(group), np.array([len(c) for c in group])
+            keys, group, size = [], [], 0
+        keys.append(key)
+        group.append(ids)
+        size += len(ids)
+    if group:
+        yield keys, np.concatenate(group), np.array([len(c) for c in group])
 
 
 # -- targets and loss --------------------------------------------------
 
 
-def double_q_targets(rewards, terminals, online_q, target_q, gamma: float) -> np.ndarray:
-    """Double-Q targets: y = r + gamma * Q_target(argmax_online) per sample.
-
-    online_q/target_q hold one aligned array per sample over that sample's
-    next-candidate set; terminal samples use y = r. Argmax ties take the
-    first (lowest-ranked) candidate.
-    """
-    y = np.empty(len(rewards), dtype=np.float64)
-    for i, (r, done) in enumerate(zip(rewards, terminals)):
-        if done:
-            y[i] = r
-        else:
-            qo = np.asarray(online_q[i], dtype=np.float64)
-            qt = np.asarray(target_q[i], dtype=np.float64)
-            if qo.size == 0 or qo.shape != qt.shape:
-                raise ValueError("non-terminal sample needs aligned non-empty candidate Q values")
-            y[i] = r + gamma * qt[int(np.argmax(qo))]
-    return y
-
-
-def gru_step_np(gru: GruParameters, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inference-path GRU update of one state; gru_step_rows on one row gives
-    the same values up to the order of the bias addition."""
-    z = sigmoid(gru.w_update.data @ x + gru.u_update.data @ h + gru.b_update.data)
-    r = sigmoid(gru.w_reset.data @ x + gru.u_reset.data @ h + gru.b_reset.data)
-    c = np.tanh(gru.w_cand.data @ x + gru.u_cand.data @ (r * h) + gru.b_cand.data)
-    return (1.0 - z) * h + z * c
-
-
 def compute_targets(batch: Sequence[Experience], params: AgentParameters,
                     target_qnet: QNetParameters, gamma: float,
                     center: bool = False) -> np.ndarray:
-    """Eq.-style double-Q targets for a replay batch; constants (no gradient).
-
-    The parameters are fixed for the call, so histories that share a
-    prefix share its GRU fold: `folded` maps each history prefix seen in
-    this call to its state, and only the unseen suffix is stepped.
+    """Double-Q targets y = r + gamma * Q_target(s', a*), a* the online argmax
+    (the first candidate among ties), and y = r on terminal samples; no
+    gradient. The next states are one padded GRU fold, each step advancing
+    the histories still running; candidate_groups are scored by both heads.
     """
-    matrix = params.item_matrix_data()
-    online_q: list[np.ndarray] = []
-    target_q: list[np.ndarray] = []
-    folded: dict[tuple, np.ndarray] = {(): np.zeros(params.gru.dim)}
-    ws = ScoringWorkspace(max((len(e.next_candidates) for e in batch), default=0), params.qnet)
-    for e in batch:
-        if e.terminal:
-            online_q.append(np.empty(0))
-            target_q.append(np.empty(0))
-            continue
-        if len(e.next_candidates) == 0:
-            raise ValueError("non-terminal experience with no next candidates")
-        history = tuple(e.next_observation)
-        rows = params.source.rows(history)
-        n = len(history)
-        while history[:n] not in folded:
-            n -= 1
-        h = folded[history[:n]]
-        for m in range(n, len(history)):
-            h = gru_step_np(params.gru, h, matrix[rows[m]])
-            folded[history[:m + 1]] = h
-        vecs = matrix[params.source.rows(e.next_candidates)]
-        online_q.append(score_candidates(params.qnet, h, vecs, center, ws))
-        target_q.append(score_candidates(target_qnet, h, vecs, center, ws))
-    return double_q_targets([e.reward for e in batch], [e.terminal for e in batch],
-                            online_q, target_q, gamma)
+    y = np.array([e.reward for e in batch], dtype=np.float64)
+    live = np.flatnonzero([not e.terminal for e in batch])
+    _, _, matrix, online = params.item_matrix()
+    clicks, running = padded_rows(params.source.row_of_item,
+                                  [batch[k].next_observation for k in live])
+    states = np.zeros((len(live), params.gru.dim))
+    for on, row in zip(running, clicks):
+        states[on] = gru_step_np(params.gru, states[on], matrix[row[on]])
+    target = QScorer(target_qnet, matrix)
+    for keys, ids, sizes in candidate_groups(enumerate(batch[k].next_candidates for k in live)):
+        rows = params.source.rows(ids)
+        q_online = score_candidates(online, states[keys], rows, sizes, center)
+        q_target = score_candidates(target, states[keys], rows, sizes, center)
+        y[live[keys]] += gamma * q_target[segment_argmax(q_online, sizes, np.arange(len(rows)))]
+    return y
 
 
 def td_loss(batch: Sequence[Experience], params: AgentParameters, targets: np.ndarray,
             tape: Tape) -> Tensor:
     """Mean squared TD error; `targets` enter as constants."""
-    matrix = params.taped_matrix(tape)
+    cached = params._cache
+    matrix = (cached[2] if cached and cached[0] == params.version and cached[1] is tape
+              else params.source.matrix(tape))
     states = encode_rows(params.gru, matrix, params.source.row_of_item,
                          [e.observation for e in batch], tape)
     item_rows = params.source.rows([e.action for e in batch])
@@ -475,8 +454,7 @@ def build_candidates(env: Environment, graph: KnowledgeGraph | None, cfg: TrainC
             return np.array(cs.items, dtype=np.int64)
     items = np.asarray(env.items, np.int64)
     keep = np.ones(int(items.max(initial=-1)) + 1, dtype=bool)
-    shown = np.fromiter(recommended, np.int64, len(recommended))
-    keep[shown[(shown >= 0) & (shown < keep.size)]] = False
+    keep[[i for i in recommended if 0 <= i < keep.size]] = False
     return items[keep[items]]
 
 
@@ -537,38 +515,56 @@ def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: T
     return params, qnet.clone()
 
 
-def _episode(params: AgentParameters | None, env: Environment, graph: KnowledgeGraph | None,
-             cfg: TrainConfig, user: int, epsilon: float, rng: np.random.Generator | None,
-             buffer: ReplayBuffer | None = None) -> list:
-    """One episode; returns its step records. Each pass takes the last step
-    (first the popularity step of `reset`): a GRU step on its item on a hit
-    (with `params`), the next candidates (over `graph` when given) and, with
-    a `buffer`, the transition with that snapshot. The next item is
-    epsilon-greedy in Q with `params`, else uniform over the candidates."""
-    matrix = None if params is None else params.item_matrix_data()
-    ws = None if params is None else ScoringWorkspace(len(env.items), params.qnet)
-    hidden = np.zeros(cfg.embedding_dim)
-    state = reset(env.model, int(user), env.popularity)
-    clicked = ()
-    while True:
-        record = state.records[-1]
-        if params is not None and record.hit:
-            hidden = gru_step_np(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
-        observation, clicked = clicked, tuple(state.clicked)
+def _episodes(params: AgentParameters | None, env: Environment, graph: KnowledgeGraph | None,
+              cfg: TrainConfig, users: Sequence[int], epsilon: float,
+              rng: np.random.Generator | None, buffer: ReplayBuffer | None = None) -> list:
+    """Episodes of `users` in lockstep; returns each one's step records.
+
+    Each pass takes every episode's last step (first the popularity step of
+    `reset`): with `params`, one GRU row step of the states that hit; then,
+    user by user, the next candidates (over `graph` when given) and, with a
+    `buffer`, the transition with that snapshot. The next item is uniform
+    without `params`, else epsilon-greedy: exploration is drawn per user
+    before any scoring, and greedy items (highest Q, lowest id among ties)
+    come from scoring candidate_groups.
+    """
+    if epsilon > 0.0 and rng is None:
+        raise ValueError("epsilon > 0 requires an rng")
+    if params is not None:
+        _, _, matrix, scorer = params.item_matrix()
+    states = [reset(env.model, int(user), env.popularity) for user in users]
+    hidden = np.zeros((len(states), cfg.embedding_dim))
+
+    def offer(state) -> np.ndarray | None:
+        """The state's transition; its candidates when Q picks the next item."""
+        record, clicked = state.records[-1], tuple(state.clicked)
         candidates = (np.empty(0, np.int64) if state.done else
                       build_candidates(env, graph, cfg, state.clicked, state.recommended))
-        if buffer is not None:
-            buffer.add(Experience(observation, record.item, record.reward, clicked, candidates,
-                                  state.done))
+        if buffer is not None:  # a hit appended its item to the clicks
+            buffer.add(Experience(clicked[:-1] if record.hit else clicked, record.item,
+                                  record.reward, clicked, candidates, state.done))
         if state.done:
-            return state.records
-        if params is None:
-            item = int(candidates[rng.integers(len(candidates))])
-        else:
-            scores = score_candidates(params.qnet, hidden, matrix[params.source.rows(candidates)],
-                                      cfg.advantage_center, ws)
-            item = epsilon_greedy(candidates, scores, epsilon, rng)
-        step(state, env.model, item)
+            return None
+        if params is None or (epsilon > 0.0 and rng.random() < epsilon):
+            step(state, env.model, int(candidates[rng.integers(len(candidates))]))
+            return None
+        return candidates
+
+    while True:
+        # one simulator horizon, so every episode ends in the same pass
+        finished = all(state.done for state in states)
+        hits = [i for i, state in enumerate(states) if state.records[-1].hit and not state.done]
+        if params is not None and hits:
+            clicks = params.source.rows([states[i].records[-1].item for i in hits])
+            hidden[hits] = gru_step_np(params.gru, hidden[hits], matrix[clicks])
+        picks = ((i, c) for i, state in enumerate(states) if (c := offer(state)) is not None)
+        for keys, ids, sizes in candidate_groups(picks):
+            q = score_candidates(scorer, hidden[keys], params.source.rows(ids), sizes,
+                                 cfg.advantage_center)
+            for i, item in zip(keys, segment_argmax(q, sizes, ids)):
+                step(states[i], env.model, int(item))
+        if finished:
+            return [state.records for state in states]
 
 
 def run_training_episode(params: AgentParameters, env: Environment,
@@ -577,7 +573,7 @@ def run_training_episode(params: AgentParameters, env: Environment,
                          buffer: ReplayBuffer) -> list:
     """One simulated episode; every transition (popularity step included)
     is stored with its follow-up candidate snapshot."""
-    return _episode(params, env, graph, cfg, user, epsilon, rng, buffer)
+    return _episodes(params, env, graph, cfg, [user], epsilon, rng, buffer)[0]
 
 
 def evaluate_policy(params: AgentParameters | None, env: Environment,
@@ -585,18 +581,19 @@ def evaluate_policy(params: AgentParameters | None, env: Environment,
                     mode: str = "greedy", rng: np.random.Generator | None = None) -> list:
     """Roll one episode per test user; returns the per-user episode logs.
 
-    mode "greedy" follows the learned Q deterministically; mode "random"
-    picks uniformly over the unseen catalog (no graph restriction).
+    mode "greedy" follows the learned Q deterministically, all users in
+    lockstep; mode "random" picks uniformly over the unseen catalog (no
+    graph restriction), one user after another.
     """
     if mode not in ("greedy", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "greedy" and params is None:
         raise ValueError("greedy mode requires parameters")
-    if mode == "random":
-        if rng is None:
-            raise ValueError("random mode requires an rng")
-        params, graph = None, None
-    return [_episode(params, env, graph, cfg, user, 0.0, rng) for user in env.test_users]
+    if mode == "greedy":
+        return _episodes(params, env, graph, cfg, env.test_users, 0.0, None)
+    if rng is None:
+        raise ValueError("random mode requires an rng")
+    return [_episodes(None, env, None, cfg, [user], 0.0, rng)[0] for user in env.test_users]
 
 
 @dataclass
@@ -657,7 +654,7 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
                 batch = buffer.sample(cfg.batch_size, rng_loop)
                 targets = compute_targets(batch, params, target, cfg.gamma,
                                           cfg.advantage_center)
-                tape = params.item_matrix()[1]
+                tape = params.item_matrix()[0]
                 loss = td_loss(batch, params, targets, tape)
                 grads = tape.backward(loss, wrt=trainable)
                 adam_step(trainable, grads, adam)

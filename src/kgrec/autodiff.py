@@ -7,9 +7,8 @@ and scalar reductions. There is no general broadcasting; shapes must
 match exactly except where an op documents otherwise. Every tensor and
 op result must be finite.
 
-`sigmoid` is the package's one logistic function (the taped op and the
-plain-numpy inference GRU both call it), and `glorot_uniform` its one
-weight initializer.
+The logistic function is `scipy.special.expit`, in the taped op and in the
+plain-numpy inference GRU; `glorot_uniform` is the one weight initializer.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.special import expit
 
 
 def _checked(name: str, out: np.ndarray) -> np.ndarray:
@@ -49,14 +49,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function, without overflow for inputs of either sign."""
-    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: the same
-    # operations per element as the two-sided masked form, without its masks
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -145,7 +137,7 @@ class Tape:
         return self._emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        out = sigmoid(x.data)
+        out = expit(x.data)
         return self._emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
 
     def tanh(self, x: Tensor) -> Tensor:

@@ -1,11 +1,12 @@
 """Graph-convolutional item embeddings and the recurrent user-state network.
 
-The GCN is one whole-graph propagation (propagate_all), used by training
-and, untaped, by inference. The taped GRU steps batches of rows
-(gru_step_rows), folded over click histories by encode_rows. Inference,
-in the episode loop and the double-Q targets, steps one state at a time
-(`agent.gru_step_np`) and scores int64 candidate-id arrays in a reused
-`agent.ScoringWorkspace`. Reference forms are in `tests/oracles.py`.
+The GCN is one whole-graph propagation (propagate_all), recorded once per
+parameter version and shared by inference and the TD loss. The GRU steps
+batches of rows: taped (gru_step_rows, folded over click histories by
+encode_rows) and plain numpy (gru_step_np, the same forward operations),
+which inference uses to step all the states it holds at once, over the
+padded history rows of padded_rows. The per-state forms the batched ones
+are held to are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
+from scipy.special import expit
 
 from .autodiff import Tape, Tensor, glorot_uniform
 from .graph import KnowledgeGraph
@@ -98,6 +100,14 @@ def gru_step_rows(p: GruParameters, h_prev: Tensor, items: Tensor, tape: Tape) -
     return tape.add(tape.mul(tape.scale(z, -1.0, 1.0), h_prev), tape.mul(z, h_cand))
 
 
+def gru_step_np(p: GruParameters, h_prev: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """gru_step_rows without a tape: the same forward values, byte for byte."""
+    z = expit(items @ p.w_update.data.T + p.b_update.data + h_prev @ p.u_update.data.T)
+    r = expit(items @ p.w_reset.data.T + p.b_reset.data + h_prev @ p.u_reset.data.T)
+    h_cand = np.tanh(items @ p.w_cand.data.T + p.b_cand.data + (r * h_prev) @ p.u_cand.data.T)
+    return (1.0 - z) * h_prev + z * h_cand
+
+
 def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
                 histories: list[tuple], tape: Tape) -> Tensor:
     """Batched state encoding: (B, d) hidden rows for B histories.
@@ -105,11 +115,8 @@ def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
     Histories are right-padded; padded steps keep the previous hidden
     value through masking, so results match per-history folding.
     """
-    b = len(histories)
     dim = item_matrix.shape[1]
-    h = Tensor(np.zeros((b, dim)))
-    if b == 0:
-        return h
+    h = Tensor(np.zeros((len(histories), dim)))
     rows, valid = padded_rows(row_of, histories)
     masks = np.repeat(valid[:, :, None].astype(np.float64), dim, axis=2)
     for t in range(len(rows)):

@@ -1,24 +1,27 @@
 """Straightforward reference forms of the package's batched and cached paths.
 
-The cached forms here are what a faster function in `kgrec` must
-reproduce bit for bit, on random inputs and on whole training runs. The
-one-row and per-item forms state a batched computation for one sample,
-so tests can check it against finite differences and hand-derived
-equations. The per-rating simulator fit is the loop the wave-scheduled
-`fit_mf` must reproduce, and the allocating candidate scorer is the one
-the workspace form of `score_candidates` must reproduce. The rest are
-helpers only the tests call: a single action pick, the simulator's batch
-MF loss and a curve CSV reader.
+The exact forms here (the set BFS of candidate selection, the per-rating
+simulator fit, the `np.add.at` TransE scatter and the `np.isin` catalog
+fallback) are what a faster function in `kgrec` must reproduce bit for
+bit, on random inputs and on whole training runs. The per-state forms of
+inference (a one-state GRU step, the allocating scorer of one candidate
+set, the per-sample double-Q rule, the epsilon-greedy pick and a
+per-user episode) are what the batched inference path is held to within
+a tolerance, since stacked gemms round differently from per-row ones.
+The one-row and per-item forms state a batched computation for one
+sample, so tests can check it against finite differences and
+hand-derived equations. The rest are helpers only the tests call: a
+single action pick, the simulator's batch MF loss and a curve CSV reader.
 """
 
 import numpy as np
+from scipy.special import expit
 
-from kgrec.agent import (CurvePoint, double_q_targets, epsilon_greedy, gru_step_np, q_rows,
-                         score_candidates)
+from kgrec.agent import CurvePoint, build_candidates, q_rows
 from kgrec.encoder import gru_step_rows
 from kgrec.experiments import CURVE_HEADER
 from kgrec.graph import CandidateSet, k_hop_sets
-from kgrec.simulator import SimulatorModel
+from kgrec.simulator import SimulatorModel, reset, step
 from kgrec.textio import read_csv
 
 
@@ -87,8 +90,9 @@ def _mlp_alloc(mlp, x):
 
 
 def score_candidates_alloc(qnet, state_vec, cand_vecs, center=False):
-    """`kgrec.agent.score_candidates` building the advantage input by tiling
-    the state and concatenating the candidates, with fresh temporaries."""
+    """Q of one state's candidate set (`kgrec.agent.score_candidates` for one
+    state), with the advantage input built by tiling the state beside the
+    candidates."""
     c = cand_vecs.shape[0]
     a = _mlp_alloc(qnet.advantage,
                    np.concatenate([np.tile(state_vec, (c, 1)), cand_vecs], axis=1))[:, 0]
@@ -102,12 +106,41 @@ def score_candidates_alloc(qnet, state_vec, cand_vecs, center=False):
     return q
 
 
+def gru_step_vec(gru, h, x):
+    """The GRU update of one (d,) state by one (d,) item vector, as
+    matrix-vector products."""
+    z = expit(gru.w_update.data @ x + gru.u_update.data @ h + gru.b_update.data)
+    r = expit(gru.w_reset.data @ x + gru.u_reset.data @ h + gru.b_reset.data)
+    c = np.tanh(gru.w_cand.data @ x + gru.u_cand.data @ (r * h) + gru.b_cand.data)
+    return (1.0 - z) * h + z * c
+
+
 def fold_history_np(gru, matrix, rows):
-    """Inference-path GRU fold over item rows, from the zero state."""
+    """GRU fold over item rows, one state step at a time, from the zero state."""
     h = np.zeros(gru.dim)
     for row in rows:
-        h = gru_step_np(gru, h, matrix[row])
+        h = gru_step_vec(gru, h, matrix[row])
     return h
+
+
+def double_q_targets(rewards, terminals, online_q, target_q, gamma):
+    """Double-Q targets: y = r + gamma * Q_target(argmax_online) per sample.
+
+    online_q/target_q hold one aligned array per sample over that sample's
+    next-candidate set; terminal samples use y = r. Argmax ties take the
+    first (lowest-ranked) candidate.
+    """
+    y = np.empty(len(rewards), dtype=np.float64)
+    for i, (r, done) in enumerate(zip(rewards, terminals)):
+        if done:
+            y[i] = r
+        else:
+            qo = np.asarray(online_q[i], dtype=np.float64)
+            qt = np.asarray(target_q[i], dtype=np.float64)
+            if qo.size == 0 or qo.shape != qt.shape:
+                raise ValueError("non-terminal sample needs aligned non-empty candidate Q values")
+            y[i] = r + gamma * qt[int(np.argmax(qo))]
+    return y
 
 
 def compute_targets_per_sample(batch, params, target_qnet, gamma, center=False):
@@ -128,16 +161,6 @@ def compute_targets_per_sample(batch, params, target_qnet, gamma, center=False):
         target_q.append(score_candidates_alloc(target_qnet, h, vecs, center))
     return double_q_targets([e.reward for e in batch], [e.terminal for e in batch],
                             online_q, target_q, gamma)
-
-
-def sigmoid_masked(x):
-    """Logistic function evaluated separately on each sign of x."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def transe_loss_and_grads_add_at(entities, relations, pos, neg, margin):
@@ -174,11 +197,47 @@ def catalog_fallback_isin(items, recommended):
     return np.asarray(items, np.int64)[~np.isin(items, np.fromiter(recommended, np.int64))]
 
 
+def epsilon_greedy(items, q_values, epsilon, rng):
+    """Greedy with ties broken by lowest item id; explore uniformly w.p. epsilon."""
+    if len(items) == 0:
+        raise ValueError("empty candidate set")
+    if epsilon > 0.0:
+        if rng is None:
+            raise ValueError("epsilon > 0 requires an rng")
+        if rng.random() < epsilon:
+            return int(items[rng.integers(len(items))])
+    return int(np.asarray(items)[q_values == q_values.max()].min())
+
+
 def select_action(params, state_hidden, candidates, epsilon, rng, center=False):
-    """One epsilon-greedy pick, as the episode loop makes it, for a given state."""
+    """One epsilon-greedy pick for a given state, with the per-state scorer."""
     vecs = params.item_matrix_data()[params.source.rows(candidates)]
-    return epsilon_greedy(candidates, score_candidates(params.qnet, state_hidden, vecs, center),
-                          epsilon, rng)
+    return epsilon_greedy(candidates, score_candidates_alloc(params.qnet, state_hidden, vecs,
+                                                             center), epsilon, rng)
+
+
+def episode_per_state(params, env, graph, cfg, user, epsilon=0.0, rng=None):
+    """One episode of `user` with the per-state forms: a one-state GRU step on
+    each hit, the allocating scorer over each candidate set and an
+    epsilon-greedy pick, which draws as the package's episode loop does.
+    Returns the step records and, per pick, the gap between the two best Q
+    values (inf for a single candidate)."""
+    matrix = params.item_matrix_data()
+    hidden = np.zeros(cfg.embedding_dim)
+    state = reset(env.model, int(user), env.popularity)
+    gaps = []
+    while True:
+        record = state.records[-1]
+        if record.hit:
+            hidden = gru_step_vec(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
+        if state.done:
+            return state.records, gaps
+        candidates = build_candidates(env, graph, cfg, state.clicked, state.recommended)
+        q = score_candidates_alloc(params.qnet, hidden, matrix[params.source.rows(candidates)],
+                                   cfg.advantage_center)
+        top = np.sort(q)[::-1]
+        gaps.append(top[0] - top[1] if len(q) > 1 else np.inf)
+        step(state, env.model, epsilon_greedy(candidates, q, epsilon, rng))
 
 
 def fit_mf_loop(users, items, ratings, n_users, n_items, dim=20, epochs=50,

@@ -23,7 +23,6 @@ from kgrec.agent import (
     Mlp,
     QNetParameters,
     VARIANTS,
-    double_q_targets,
     evaluate_policy,
     load_checkpoint,
     q_rows,
@@ -57,7 +56,7 @@ from kgrec.simulator import (
 )
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import transe_loss_and_grads
-from oracles import gru_step, mf_loss_and_grads, q_value, select_action
+from oracles import double_q_targets, gru_step, mf_loss_and_grads, q_value, select_action
 
 SEEDS = (0, 1, 2)
 

@@ -19,15 +19,14 @@ from kgrec.agent import (
     Experience,
     Mlp,
     QNetParameters,
+    QScorer,
     ReplayBuffer,
-    ScoringWorkspace,
+    SCORE_BLOCK,
     TrainConfig,
     VARIANTS,
     build_candidates,
     compute_targets,
-    double_q_targets,
     epsilon_at,
-    epsilon_greedy,
     evaluate_policy,
     initialize_parameters,
     load_checkpoint,
@@ -35,21 +34,23 @@ from kgrec.agent import (
     run_training_episode,
     save_checkpoint,
     score_candidates,
+    segment_argmax,
     soft_update,
     td_loss,
     train,
     variant_flags,
 )
-from kgrec.autodiff import Tape, Tensor, sigmoid
+from kgrec.autodiff import Tape, Tensor
 from kgrec.encoder import GcnParameters, GruParameters
 from kgrec.experiments import build_environment, curve_csv_text, ingest, parse_config_text
 from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
-from oracles import (candidate_items_bfs, catalog_fallback_isin, compute_targets_per_sample, fit_mf_loop,
+from oracles import (candidate_items_bfs, catalog_fallback_isin, compute_targets_per_sample,
+                     double_q_targets, episode_per_state, epsilon_greedy, fit_mf_loop,
                      fold_history_np, q_value, score_candidates_alloc, select_action,
-                     sigmoid_masked, transe_loss_and_grads_add_at)
+                     transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -162,13 +163,19 @@ def test_q_rows_matches_scalar_path(value_input):
         assert abs(batched.data[r] - float(one.data)) <= 1e-12
 
 
+def _score_one(qnet, h, vecs, center=False):
+    """score_candidates on one state whose candidates are all rows of `vecs`."""
+    return score_candidates(QScorer(qnet, vecs), h[None, :], np.arange(len(vecs)),
+                            np.array([len(vecs)]), center)
+
+
 @pytest.mark.parametrize("value_input", ["state", "item"])
 def test_score_candidates_matches_taped_q(value_input):
     rng = np.random.default_rng(13)
     qnet = _qnet(rng, dim=4, value_input=value_input)
     h = rng.standard_normal(4)
     vecs = rng.standard_normal((6, 4))
-    scores = score_candidates(qnet, h, vecs)
+    scores = _score_one(qnet, h, vecs)
     assert scores.shape == (6,)
     for c in range(6):
         tape = Tape()
@@ -181,65 +188,67 @@ def test_advantage_centering_shifts_scores_not_argmax():
     qnet = _qnet(rng, dim=4)
     h = rng.standard_normal(4)
     vecs = rng.standard_normal((7, 4))
-    plain = score_candidates(qnet, h, vecs, center=False)
-    centered = score_candidates(qnet, h, vecs, center=True)
+    plain = _score_one(qnet, h, vecs, center=False)
+    centered = _score_one(qnet, h, vecs, center=True)
     a = qnet.advantage.forward_np(
         np.concatenate([np.tile(h, (7, 1)), vecs], axis=1))[:, 0]
     assert np.argmax(plain) == np.argmax(centered)
     np.testing.assert_allclose(centered, plain - a.mean(), atol=1e-12)
 
 
-def _nan_workspace(rows, qnet):
-    ws = ScoringWorkspace(rows, qnet)
-    ws.inputs.fill(np.nan)
-    ws.hidden.fill(np.nan)
-    return ws
+def _check_sets_against_per_state(qnet, states, matrix, sets, center):
+    rows = np.concatenate(sets)
+    got = score_candidates(QScorer(qnet, matrix), states, rows, np.array([len(c) for c in sets]),
+                           center)
+    assert got.shape == rows.shape
+    start = 0
+    for i, cands in enumerate(sets):
+        want = score_candidates_alloc(qnet, states[i], matrix[cands], center)
+        np.testing.assert_allclose(got[start:start + len(cands)], want, rtol=0, atol=1e-12)
+        start += len(cands)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), value_input=st.sampled_from(["state", "item"]), center=st.booleans(),
-       dim=st.integers(1, 6), hidden=st.integers(1, 9), rows=st.integers(0, 24),
+       dim=st.integers(1, 6), hidden=st.integers(1, 9), n_rows=st.integers(1, 24),
        seed=st.integers(0, 2**32 - 1))
-def test_workspace_scoring_matches_allocating_form_bitwise(data, value_input, center, dim,
-                                                           hidden, rows, seed):
+def test_batched_scoring_matches_per_state_form(data, value_input, center, dim, hidden,
+                                                n_rows, seed):
     rng = np.random.default_rng(seed)
-    online = _qnet(rng, dim, hidden, value_input)
-    target = _qnet(rng, dim, hidden, value_input)
-    ws = _nan_workspace(rows, online)
-    h = rng.standard_normal(dim)
-    vecs = rng.standard_normal((data.draw(st.integers(1, rows + 4)), dim)) * 3.0
-    returned = []
-    for _ in range(data.draw(st.integers(1, 5))):
-        # a new state, new candidates, or both; the other keeps its array object
-        change = data.draw(st.sampled_from(["state", "candidates", "both"])) if returned else ""
-        if change in ("state", "both"):
-            h = rng.standard_normal(dim)
-        if change in ("candidates", "both"):
-            vecs = rng.standard_normal((data.draw(st.integers(1, rows + 4)), dim)) * 3.0
-        c = len(vecs)
-        for qnet in (online, target, online):  # later heads reuse the held input
-            got = score_candidates(qnet, h, vecs, center, ws)
-            want = score_candidates_alloc(qnet, h, vecs, center)
-            assert got.shape == (c,) and got.tobytes() == want.tobytes()
-            assert not np.shares_memory(got, ws.inputs) and not np.shares_memory(got, ws.hidden)
-            returned.append((got, got.copy()))
-        for got, first in returned:  # later calls never write into earlier results
-            assert got.tobytes() == first.tobytes()
+    matrix = rng.standard_normal((n_rows, dim)) * 3.0
+    n_states = data.draw(st.integers(1, 6))
+    sets = [rng.integers(0, n_rows, size=data.draw(st.integers(1, 2 * n_rows)))
+            for _ in range(n_states)]
+    _check_sets_against_per_state(_qnet(rng, dim, hidden, value_input),
+                                  rng.standard_normal((n_states, dim)), matrix, sets, center)
 
 
 @pytest.mark.parametrize("rows", [2000, 1999])
-def test_workspace_scoring_is_exact_at_wide_world_shapes(rows):
+def test_scoring_blocks_match_per_state_form_at_wide_world_shapes(rows):
+    # sets longer than SCORE_BLOCK cross blocks, and a block can hold parts
+    # of several sets
     rng = np.random.default_rng(17)
     qnet = _qnet(rng, dim=16, hidden=32)
-    vecs = rng.standard_normal((2000, 16))
-    h = rng.standard_normal(16)
-    ws = _nan_workspace(rows, qnet)
+    matrix = rng.standard_normal((2000, 16))
+    states = rng.standard_normal((3, 16))
+    sets = [rng.permutation(2000)[:rows], rng.permutation(2000)[:7], rng.permutation(2000)]
+    assert rows > SCORE_BLOCK
     for center in (False, True):
-        got = score_candidates(qnet, h, vecs, center, ws)
-        assert got.tobytes() == score_candidates_alloc(qnet, h, vecs, center).tobytes()
-    # a smaller block later in the same workspace sees none of the larger one
-    got = score_candidates(qnet, h, vecs[:7], False, ws)
-    assert got.tobytes() == score_candidates_alloc(qnet, h, vecs[:7]).tobytes()
+        _check_sets_against_per_state(qnet, states, matrix, sets, center)
+
+
+def test_segment_argmax_tie_rules():
+    q = np.array([1.0, 3.0, 3.0, 0.5, 2.0, 7.0, 7.0, 1.0])
+    sizes = np.array([3, 1, 4])
+    # the double-Q rule: the first position among a set's maxima
+    assert segment_argmax(q, sizes, np.arange(len(q))).tolist() == [1, 3, 5]
+    # the greedy rule: the lowest item id among a set's maxima
+    ids = np.array([9, 5, 4, 8, 6, 3, 2, 1])
+    assert segment_argmax(q, sizes, ids).tolist() == [4, 8, 2]
+    # the largest key can win too, alone or tied
+    assert segment_argmax(np.array([0.0, 1.0]), np.array([2]), np.array([3, 9])).tolist() == [9]
+    everything_ties = segment_argmax(np.zeros(4), np.array([4]), np.array([7, 3, 9, 5]))
+    assert everything_ties.tolist() == [3]
 
 
 def test_soft_update_blends_and_validates():
@@ -281,6 +290,11 @@ def test_epsilon_greedy_validation():
         epsilon_greedy((1, 2), np.array([0.0, 1.0]), 0.5, None)
     # epsilon zero needs no generator
     assert epsilon_greedy((1, 2), np.array([0.0, 1.0]), 0.0, None) == 2
+    # nor does the episode loop's pick, which needs one to explore
+    env = _tiny_world()
+    params, _ = initialize_parameters(env, None, _mf_cfg(), seed=0)
+    with pytest.raises(ValueError, match="rng"):
+        run_training_episode(params, env, None, _mf_cfg(), 0, 0.5, None, ReplayBuffer(8))
 
 
 def test_epsilon_greedy_exploration_frequency():
@@ -528,19 +542,6 @@ def test_catalog_fallback_matches_isin_form(items, shown, dtype):
 # -- targets and loss ----------------------------------------------------
 
 
-def test_sigmoid_matches_masked_form_bitwise():
-    tiny = np.finfo(np.float64).smallest_subnormal
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
-                        1e-310, -1e-310, 1e-300, -1e-300, 1e3, -1e3, 709.8, -745.2, 36.0, -36.0])
-    rng = np.random.default_rng(4)
-    x = np.concatenate([special, rng.standard_normal(997) * 12.0, rng.standard_normal(64)])
-    got = sigmoid(x)
-    want = sigmoid_masked(x)
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-
 def _manual_source(rng, n_rows, dim):
     base = Tensor(rng.standard_normal((n_rows, dim)), requires_grad=True)
     return EmbeddingSource(base=base, row_of_item=np.arange(n_rows))
@@ -568,8 +569,8 @@ def test_compute_targets_matches_manual_double_q():
     matrix = params.item_matrix_data()
     h = fold_history_np(params.gru, matrix, params.source.rows((0, 1)))
     vecs = matrix[params.source.rows((2, 3, 4))]
-    qo = score_candidates(params.qnet, h, vecs)
-    qt = score_candidates(target, h, vecs)
+    qo = score_candidates_alloc(params.qnet, h, vecs)
+    qt = score_candidates_alloc(target, h, vecs)
     want0 = 0.5 + 0.9 * qt[int(np.argmax(qo))]
     np.testing.assert_allclose(got, [want0, -0.25], atol=1e-12)
 
@@ -580,7 +581,7 @@ def test_compute_targets_matches_manual_double_q():
         compute_targets(broken, params, target, gamma=0.9)
 
 
-def test_compute_targets_folds_each_prefix_once(monkeypatch):
+def test_compute_targets_folds_the_batch_in_one_padded_pass(monkeypatch):
     rng = np.random.default_rng(22)
     dim = 3
     params = AgentParameters(source=_manual_source(rng, 5, dim),
@@ -595,13 +596,47 @@ def test_compute_targets_folds_each_prefix_once(monkeypatch):
     want = compute_targets_per_sample(batch, params, target, 0.9, center=True)
 
     steps = []
-    step_once = agent_module.gru_step_np
+    step_rows = agent_module.gru_step_np
     monkeypatch.setattr(agent_module, "gru_step_np",
-                        lambda *args: steps.append(args) or step_once(*args))
+                        lambda gru, h, x: steps.append(len(h)) or step_rows(gru, h, x))
     got = compute_targets(batch, params, target, 0.9, center=True)
-    assert np.array_equal(got, want)
-    # one step per distinct non-empty prefix: (0,) (0, 1) (0, 1, 2) (1,) (1, 0) (2,)
-    assert len(steps) == 6
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # one row block per step of the longest history, over the histories still running
+    assert steps == [7, 4, 1]
+
+
+def _gapped(params, target, e):
+    """The gap between the online heads' two best Q values over e's next set."""
+    matrix = params.item_matrix_data()
+    h = fold_history_np(params.gru, matrix, params.source.rows(e.next_observation))
+    q = np.sort(score_candidates_alloc(params.qnet, h, matrix[params.source.rows(
+        e.next_candidates)]))
+    return q[-1] - q[-2] if len(q) > 1 else np.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value_input=st.sampled_from(["state", "item"]), center=st.booleans(),
+       n_items=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_batched_targets_match_per_sample_form(data, value_input, center, n_items, seed):
+    rng = np.random.default_rng(seed)
+    dim = data.draw(st.integers(1, 5))
+    params = AgentParameters(source=_manual_source(rng, n_items, dim),
+                             gru=GruParameters.init(dim, rng),
+                             qnet=_qnet(rng, dim, data.draw(st.integers(1, 8)), value_input))
+    target = _qnet(rng, dim, params.qnet.value.w1.shape[0], value_input)
+    item = st.integers(0, n_items - 1)
+    batch = [Experience(observation=(), action=0, reward=float(rng.normal()),
+                        next_observation=tuple(data.draw(st.lists(item, max_size=6))),
+                        next_candidates=np.array(data.draw(st.lists(item, min_size=1,
+                                                                    max_size=400, unique=True))),
+                        terminal=data.draw(st.booleans()))
+             for _ in range(data.draw(st.integers(0, 12)))]
+    got = compute_targets(batch, params, target, 0.9, center)
+    want = compute_targets_per_sample(batch, params, target, 0.9, center)
+    assert got.shape == want.shape
+    for k, e in enumerate(batch):
+        if e.terminal or _gapped(params, target, e) > 1e-9:
+            assert abs(got[k] - want[k]) <= 1e-12
 
 
 def _fd_batch():
@@ -748,9 +783,8 @@ def test_full_variant_trains_end_to_end():
 
 def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     # the same world and training with the wave-scheduled simulator fit, the
-    # cached graph rows, the shared prefix folds, the unmasked sigmoid, the
-    # ordered TransE scatter and the workspace scorer swapped for their plain
-    # reference forms
+    # cached graph rows and the ordered TransE scatter swapped for their
+    # plain reference forms
     paths = write_dataset(str(tmp_path / "world"),
                           generate(SynthSpec(clusters=3, items_per_cluster=8, users=60,
                                              home_ratings_per_user=2, out_ratings_per_user=2,
@@ -781,11 +815,6 @@ def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments_module, "fit_mf", reference_fit)
     monkeypatch.setattr(agent_module, "fit_mf", reference_fit)
     monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
-    monkeypatch.setattr(agent_module, "compute_targets", compute_targets_per_sample)
-    monkeypatch.setattr(agent_module, "score_candidates",
-                        lambda qnet, state, vecs, center, ws: score_candidates_alloc(
-                            qnet, state, vecs, center))
-    monkeypatch.setattr(agent_module, "sigmoid", sigmoid_masked)
     monkeypatch.setattr(transe_module, "transe_loss_and_grads", transe_loss_and_grads_add_at)
     _, _, reference = train(build_environment(ds, config), ds.graph, cfg, seed=3)
     # the world was refitted by the loop, and both the linked candidates
@@ -831,6 +860,56 @@ def test_evaluate_policy_modes_and_validation():
         evaluate_policy(None, env, None, cfg, mode="random", rng=None)
     with pytest.raises(ValueError, match="greedy"):
         evaluate_policy(None, env, graph, cfg, mode="greedy")
+    env.items = np.arange(cfg.horizon - 1)  # the catalog runs out before the horizon
+    with pytest.raises(ValueError, match="empty candidate set"):
+        evaluate_policy(params, env, None, cfg)
+
+
+def _agree_until_near_tie(got, want, gaps):
+    """Records must agree up to the first pick whose two best Q values lie
+    within 1e-9 (where rounding may pick the other one), that pick included
+    when it is not near a tie."""
+    near = [k for k, gap in enumerate(gaps) if gap <= 1e-9]
+    upto = 1 + (near[0] if near else len(gaps))
+    assert [r.item for r in got[:upto]] == [r.item for r in want[:upto]]
+    if not near:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_graph=st.booleans(), center=st.booleans(),
+       value_input=st.sampled_from(["state", "item"]), n_items=st.integers(8, 40))
+def test_lockstep_greedy_matches_per_user_episodes(seed, with_graph, center, value_input,
+                                                   n_items):
+    env = _tiny_world(n_items=n_items, n_users=9, seed=seed % 1000)
+    graph = _ring_graph(n_items) if with_graph else None
+    kw = dict(advantage_center=center, value_input=value_input, candidate_size=5)
+    cfg = _cfg(**kw) if with_graph else _mf_cfg(**kw)
+    params, _ = initialize_parameters(env, graph, cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in params.gru.tensors() + params.qnet.tensors():  # off the zero-bias start
+        t.data = t.data + rng.standard_normal(t.data.shape) * 0.3
+    logs = evaluate_policy(params, env, graph, cfg)
+    assert len(logs) == len(env.test_users)
+    for user, got in zip(env.test_users, logs):
+        _agree_until_near_tie(got, *episode_per_state(params, env, graph, cfg, user))
+
+
+@pytest.mark.parametrize("with_graph", [False, True])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_training_episode_draws_as_the_per_state_episode(epsilon, with_graph):
+    env = _tiny_world()
+    graph = _ring_graph(8) if with_graph else None
+    cfg = _cfg() if with_graph else _mf_cfg()
+    params, _ = initialize_parameters(env, graph, cfg, seed=4)
+    for user in env.train_users:
+        rng_a, rng_b = np.random.default_rng(user), np.random.default_rng(user)
+        got = run_training_episode(params, env, graph, cfg, int(user), epsilon, rng_a,
+                                   ReplayBuffer(64))
+        _agree_until_near_tie(got, *episode_per_state(params, env, graph, cfg, user,
+                                                      epsilon, rng_b))
+        # the same draws, in the same order
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_environment_counts_preferences_over_catalog():

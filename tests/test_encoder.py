@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_error
-from kgrec.agent import gru_step_np
 from kgrec.autodiff import Tape, Tensor
-from kgrec.encoder import GcnParameters, GruParameters, encode_rows, gru_step_rows, propagate_all
+from kgrec.encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, gru_step_rows,
+                           propagate_all)
 from kgrec.graph import KnowledgeGraph
-from oracles import fold_history_np, item_embedding_np
+from oracles import fold_history_np, gru_step_vec, item_embedding_np
 
 TOL = 1e-5
 
@@ -198,5 +198,20 @@ def test_gru_step_rows_matches_single_steps():
     tape = Tape()
     batched = gru_step_rows(gru, Tensor(h), Tensor(x), tape)
     for i in range(rows):
-        want = gru_step_np(gru, h[i], x[i])
+        want = gru_step_vec(gru, h[i], x[i])
         assert rel_error(batched.data[i], want) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(1, 20), rows=st.integers(1, 70), scale=st.sampled_from([0.1, 1.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gru_step_np_is_the_taped_forward_bytewise(dim, rows, scale, seed):
+    rng = np.random.default_rng(seed)
+    gru = GruParameters.init(dim, rng)
+    for b in (gru.b_update, gru.b_reset, gru.b_cand):
+        b.data = rng.standard_normal(dim)
+    h = rng.uniform(-1.0, 1.0, (rows, dim))
+    x = rng.standard_normal((rows, dim)) * scale
+    got = gru_step_np(gru, h, x)
+    want = gru_step_rows(gru, Tensor(h), Tensor(x), Tape()).data
+    assert got.tobytes() == want.tobytes()
