@@ -605,7 +605,7 @@ def test_compute_targets_folds_the_batch_in_one_padded_pass(monkeypatch):
     assert steps == [7, 4, 1]
 
 
-def _gapped(params, target, e):
+def _gapped(params, e):
     """The gap between the online heads' two best Q values over e's next set."""
     matrix = params.item_matrix_data()
     h = fold_history_np(params.gru, matrix, params.source.rows(e.next_observation))
@@ -635,7 +635,7 @@ def test_batched_targets_match_per_sample_form(data, value_input, center, n_item
     want = compute_targets_per_sample(batch, params, target, 0.9, center)
     assert got.shape == want.shape
     for k, e in enumerate(batch):
-        if e.terminal or _gapped(params, target, e) > 1e-9:
+        if e.terminal or _gapped(params, e) > 1e-9:
             assert abs(got[k] - want[k]) <= 1e-12
 
 
