@@ -7,8 +7,9 @@ and scalar reductions. There is no general broadcasting; shapes must
 match exactly except where an op documents otherwise. Every tensor and
 op result must be finite.
 
-The logistic function is `scipy.special.expit`, in the taped op and in the
-plain-numpy inference GRU; `glorot_uniform` is the one weight initializer.
+`sigmoid` is the package's one logistic function (the taped op and the
+plain-numpy inference GRU both call it), and `glorot_uniform` its one
+weight initializer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import expit
 
 
 def _checked(name: str, out: np.ndarray) -> np.ndarray:
@@ -49,6 +49,15 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as 0.5 + 0.5 * tanh(x / 2): one transcendental,
+    no overflow for inputs of either sign."""
+    out = np.tanh(x * 0.5)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -137,7 +146,7 @@ class Tape:
         return self._emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        out = expit(x.data)
+        out = sigmoid(x.data)
         return self._emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
 
     def tanh(self, x: Tensor) -> Tensor:
@@ -189,7 +198,8 @@ class Tape:
 
         Returns a map parameter -> array of the parameter's shape. Tensors
         in `wrt` always get an entry (zeros when the loss does not depend
-        on them). A tape can be consumed exactly once.
+        on them). A tape can be consumed exactly once; it drops each record
+        as it replays it, so a consumed tape holds no intermediate values.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
@@ -197,7 +207,8 @@ class Tape:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
         grads: dict[Tensor, np.ndarray] = {loss: np.ones(())}
-        for out, pulls in reversed(self._ops):
+        while self._ops:
+            out, pulls = self._ops.pop()
             g = grads.pop(out, None)
             if g is None:
                 continue

@@ -15,9 +15,8 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
-from scipy.special import expit
 
-from .autodiff import Tape, Tensor, glorot_uniform
+from .autodiff import Tape, Tensor, glorot_uniform, sigmoid
 from .graph import KnowledgeGraph
 
 
@@ -102,8 +101,8 @@ def gru_step_rows(p: GruParameters, h_prev: Tensor, items: Tensor, tape: Tape) -
 
 def gru_step_np(p: GruParameters, h_prev: np.ndarray, items: np.ndarray) -> np.ndarray:
     """gru_step_rows without a tape: the same forward values, byte for byte."""
-    z = expit(items @ p.w_update.data.T + p.b_update.data + h_prev @ p.u_update.data.T)
-    r = expit(items @ p.w_reset.data.T + p.b_reset.data + h_prev @ p.u_reset.data.T)
+    z = sigmoid(items @ p.w_update.data.T + p.b_update.data + h_prev @ p.u_update.data.T)
+    r = sigmoid(items @ p.w_reset.data.T + p.b_reset.data + h_prev @ p.u_reset.data.T)
     h_cand = np.tanh(items @ p.w_cand.data.T + p.b_cand.data + (r * h_prev) @ p.u_cand.data.T)
     return (1.0 - z) * h_prev + z * h_cand
 

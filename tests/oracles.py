@@ -15,9 +15,9 @@ single action pick, the simulator's batch MF loss and a curve CSV reader.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from kgrec.agent import CurvePoint, build_candidates, q_rows
+from kgrec.autodiff import sigmoid
 from kgrec.encoder import gru_step_rows
 from kgrec.experiments import CURVE_HEADER
 from kgrec.graph import CandidateSet, k_hop_sets
@@ -109,8 +109,8 @@ def score_candidates_alloc(qnet, state_vec, cand_vecs, center=False):
 def gru_step_vec(gru, h, x):
     """The GRU update of one (d,) state by one (d,) item vector, as
     matrix-vector products."""
-    z = expit(gru.w_update.data @ x + gru.u_update.data @ h + gru.b_update.data)
-    r = expit(gru.w_reset.data @ x + gru.u_reset.data @ h + gru.b_reset.data)
+    z = sigmoid(gru.w_update.data @ x + gru.u_update.data @ h + gru.b_update.data)
+    r = sigmoid(gru.w_reset.data @ x + gru.u_reset.data @ h + gru.b_reset.data)
     c = np.tanh(gru.w_cand.data @ x + gru.u_cand.data @ (r * h) + gru.b_cand.data)
     return (1.0 - z) * h + z * c
 
