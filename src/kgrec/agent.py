@@ -116,6 +116,7 @@ class AgentParameters:
     gru: GruParameters
     qnet: QNetParameters
     version: int = 0
+    # (version, tape, matrix tensor, matrix values, online QScorer) of one version
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def trainable(self) -> list[Tensor]:

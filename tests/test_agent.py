@@ -639,6 +639,25 @@ def test_batched_targets_match_per_sample_form(data, value_input, center, n_item
             assert abs(got[k] - want[k]) <= 1e-12
 
 
+def test_targets_over_several_candidate_groups_match_per_sample_form():
+    rng = np.random.default_rng(24)
+    params = AgentParameters(source=_manual_source(rng, 300, 6), gru=GruParameters.init(6, rng),
+                             qnet=_qnet(rng, 6, 8))
+    target = _qnet(rng, 6, 8)
+    batch = [Experience(observation=(), action=0, reward=float(rng.normal()),
+                        next_observation=tuple(rng.integers(0, 300, k % 7)),
+                        next_candidates=rng.choice(300, int(rng.integers(50, 300)), replace=False),
+                        terminal=k % 5 == 4)
+             for k in range(40)]
+    sets = [e.next_candidates for e in batch if not e.terminal]
+    assert sum(map(len, sets)) > 4 * SCORE_BLOCK
+    got = compute_targets(batch, params, target, 0.9)
+    want = compute_targets_per_sample(batch, params, target, 0.9)
+    for k, e in enumerate(batch):
+        if e.terminal or _gapped(params, e) > 1e-9:
+            assert abs(got[k] - want[k]) <= 1e-12
+
+
 def _fd_batch():
     return [
         Experience(observation=(), action=1, reward=0.3,
@@ -893,6 +912,19 @@ def test_lockstep_greedy_matches_per_user_episodes(seed, with_graph, center, val
     assert len(logs) == len(env.test_users)
     for user, got in zip(env.test_users, logs):
         _agree_until_near_tie(got, *episode_per_state(params, env, graph, cfg, user))
+
+
+def test_lockstep_greedy_over_several_candidate_groups_matches_per_user_episodes():
+    env = _tiny_world(n_items=40, n_users=60)
+    env.test_users = np.arange(60)  # 60 catalog-wide sets of up to 40 ids per step
+    cfg = _mf_cfg(advantage_center=True)
+    params, _ = initialize_parameters(env, None, cfg, seed=5)
+    rng = np.random.default_rng(5)
+    for t in params.gru.tensors() + params.qnet.tensors():
+        t.data = t.data + rng.standard_normal(t.data.shape) * 0.3
+    assert len(env.test_users) * (len(env.items) - cfg.horizon) > 2 * SCORE_BLOCK
+    for user, got in zip(env.test_users, evaluate_policy(params, env, None, cfg)):
+        _agree_until_near_tie(got, *episode_per_state(params, env, None, cfg, user))
 
 
 @pytest.mark.parametrize("with_graph", [False, True])
