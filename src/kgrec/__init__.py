@@ -13,7 +13,7 @@ from .graph import (CandidateSet, KnowledgeGraph, build_graph, candidate_items,
                     k_hop_sets, load_graph)
 from .transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pretrain,
                      triple_distance)
-from .encoder import GcnParameters, GruParameters, encode_rows, gru_step_rows, propagate_all
+from .encoder import GcnParameters, GruParameters, encode_rows, propagate_all
 from .simulator import (EpisodeState, SimulatorModel, StepRecord, fit_mf,
                         instinctive_reward, popularity_table, preference_counts, reset,
                         split_users, step)
@@ -38,7 +38,7 @@ __all__ = [
     "SynthSpec", "Tape", "Tensor", "TrainConfig", "TranseConfig", "adam_step",
     "average_reward", "build_environment", "build_graph", "build_report",
     "candidate_items", "compare", "encode_rows", "episode_reward",
-    "evaluate_policy", "fit_mf", "generate", "gru_step_rows",
+    "evaluate_policy", "fit_mf", "generate",
     "ingest", "initialize_parameters", "instinctive_reward",
     "interactions_to_threshold", "k_hop_sets", "load_checkpoint", "load_graph",
     "margin_loss", "parse_config", "popularity_table",

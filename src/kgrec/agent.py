@@ -1,6 +1,7 @@
 """Dueling double-DQN agent over graph-aware item and state encodings.
 
-The TD loss is taped and batched over rows (encode_rows, q_rows). One
+The TD loss is taped and batched over rows: the GRU fold over the
+histories is one record (encode_rows), the Q heads one op each (q_rows). One
 episode loop serves training (epsilon-greedy, storing transitions) and
 evaluation (greedy, all test users in lockstep, or uniform random).
 Inference is batched numpy over the same parameters: one GRU row step
@@ -605,8 +606,18 @@ class CurvePoint:
     recall: float
 
 
+class TrainResult(tuple):
+    """train()'s (params, target heads, curve), with `final_logs`: the
+    per-user greedy episodes the curve's last point was measured on."""
+
+    def __new__(cls, params, target, curve, final_logs):
+        result = super().__new__(cls, (params, target, curve))
+        result.final_logs = final_logs
+        return result
+
+
 def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
-          seed: int) -> tuple[AgentParameters, QNetParameters, list[CurvePoint]]:
+          seed: int) -> TrainResult:
     """Interactive training over the train-user pool until the budget runs out.
 
     Per episode: act epsilon-greedily over the candidate sets, store every
@@ -614,8 +625,9 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
     batches (double-Q targets, mean squared TD error, Adam over the state
     network, Q heads and trainable embeddings) and soft-update the target
     heads. Greedy evaluations on the held-out users are emitted as the
-    learning curve at the configured cadence. An exhausted budget finishes
-    the running episode, then halts.
+    learning curve at the configured cadence; the last one's episodes are
+    the result's `final_logs`. An exhausted budget finishes the running
+    episode, then halts.
     """
     from .metrics import average_reward, precision_at_horizon, recall_at_horizon
 
@@ -633,8 +645,11 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
     trainable = params.trainable()
     eval_gamma = cfg.resolved_eval_gamma()
     pref = env.test_preference_counts()
+    logs = None
 
     def emit(interactions: int) -> CurvePoint:
+        nonlocal logs
+        logs = None  # one pass's episodes alive at a time
         logs = evaluate_policy(params, env, graph, cfg, mode="greedy")
         return CurvePoint(interactions=interactions,
                           reward=average_reward(logs, eval_gamma),
@@ -644,9 +659,7 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
     curve = [emit(0)]
     next_eval = cfg.eval_every
     interactions = 0
-    if len(env.train_users) == 0:
-        return params, target, curve
-    while interactions < cfg.interaction_budget:
+    while len(env.train_users) and interactions < cfg.interaction_budget:
         for user in rng_loop.permutation(env.train_users):
             epsilon = epsilon_at(interactions, cfg)
             run_training_episode(params, env, graph, cfg, int(user), epsilon, rng_loop, buffer)
@@ -668,7 +681,7 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
                 break
     if curve[-1].interactions != interactions:
         curve.append(emit(interactions))
-    return params, target, curve
+    return TrainResult(params, target, curve, logs)
 
 
 # -- checkpoints --------------------------------------------------------

@@ -19,8 +19,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 
-def _checked(name: str, out: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
+def checked(name: str, out: np.ndarray) -> np.ndarray:
+    """`out`, or FloatingPointError naming `name` when it holds a non-finite value."""
+    if not np.isfinite(out).all():
         raise FloatingPointError(f"{name}: non-finite values in result")
     return out
 
@@ -37,7 +38,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.array(values, dtype=np.float64)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise FloatingPointError("tensor values must be finite")
         self.data = data
         self.requires_grad = bool(requires_grad)
@@ -57,6 +58,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.tanh(x * 0.5)
     out *= 0.5
     out += 0.5
+    return out
+
+
+def scatter_rows(like: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros like `like` plus the rows of `g` at `idx`, repeats added in order."""
+    out = np.zeros_like(like)
+    np.add.at(out, idx, g)
     return out
 
 
@@ -85,13 +93,19 @@ class Tape:
 
     # -- recording ---------------------------------------------------
 
-    def _emit(self, name: str, out_data: np.ndarray, pulls: Iterable[_Pull]) -> Tensor:
+    def emit(self, name: str, out_data: np.ndarray, pulls: Iterable[_Pull]) -> Tensor:
+        """Record one op: its checked output and, per input, a pull from the
+        output's gradient to that input's gradient piece."""
         out = Tensor.__new__(Tensor)
-        out.data = _checked(name, out_data)
+        out.data = checked(name, out_data)
         out.requires_grad = False
         self._ops.append((out, tuple(pulls)))
         self._produced.add(id(out))
         return out
+
+    def tracks(self, t: Tensor) -> bool:
+        """Whether backward passes gradient into `t` (trainable, or an op output here)."""
+        return t.requires_grad or id(t) in self._produced
 
     # -- ops ----------------------------------------------------------
 
@@ -99,7 +113,7 @@ class Tape:
         """Product by a constant matrix (ndarray or scipy sparse); no gradient into the constant."""
         out = a_const @ x.data
         at = a_const.T
-        return self._emit("matmul_const", np.asarray(out), [(x, lambda g: np.asarray(at @ g))])
+        return self.emit("matmul_const", np.asarray(out), [(x, lambda g: np.asarray(at @ g))])
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         """x @ w.T (+ b) for x (rows, n), w (m, n) and b (m,)."""
@@ -113,12 +127,12 @@ class Tape:
                 raise ValueError(f"linear: bias shape {b.data.shape} does not match w {wd.shape}")
             out = out + b.data
             pulls.append((b, lambda g: g.sum(axis=0)))
-        return self._emit("linear", out, pulls)
+        return self.emit("linear", out, pulls)
 
     def _binary(self, name, a, b, fwd, da, db):
         if a.data.shape != b.data.shape:
             raise ValueError(f"{name}: shapes disagree: {a.data.shape} vs {b.data.shape}")
-        return self._emit(name, fwd(a.data, b.data), [(a, da(a, b)), (b, db(a, b))])
+        return self.emit(name, fwd(a.data, b.data), [(a, da(a, b)), (b, db(a, b))])
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         return self._binary("add", a, b, np.add, lambda a_, b_: lambda g: g, lambda a_, b_: lambda g: g)
@@ -132,26 +146,26 @@ class Tape:
 
     def scale(self, x: Tensor, factor: float, shift: float = 0.0) -> Tensor:
         """Elementwise factor * x + shift with python-scalar constants."""
-        return self._emit("scale", factor * x.data + shift, [(x, lambda g: factor * g)])
+        return self.emit("scale", factor * x.data + shift, [(x, lambda g: factor * g)])
 
     def mul_const(self, x: Tensor, mask) -> Tensor:
         """Elementwise product with a constant array of the same shape."""
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != x.data.shape:
             raise ValueError(f"mul_const: shapes disagree: {x.data.shape} vs {mask.shape}")
-        return self._emit("mul_const", x.data * mask, [(x, lambda g: g * mask)])
+        return self.emit("mul_const", x.data * mask, [(x, lambda g: g * mask)])
 
     def relu(self, x: Tensor) -> Tensor:
         keep = x.data > 0.0
-        return self._emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
+        return self.emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
 
     def sigmoid(self, x: Tensor) -> Tensor:
         out = sigmoid(x.data)
-        return self._emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
+        return self.emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
 
     def tanh(self, x: Tensor) -> Tensor:
         out = np.tanh(x.data)
-        return self._emit("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
+        return self.emit("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
 
     def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
         """Concatenate two 2-D tensors along columns."""
@@ -159,7 +173,7 @@ class Tape:
             raise ValueError(f"concat_cols: shapes disagree: {a.data.shape}, {b.data.shape}")
         split = a.data.shape[1]
         out = np.concatenate([a.data, b.data], axis=1)
-        return self._emit("concat_cols", out, [(a, lambda g: g[:, :split]), (b, lambda g: g[:, split:])])
+        return self.emit("concat_cols", out, [(a, lambda g: g[:, :split]), (b, lambda g: g[:, split:])])
 
     def gather_rows(self, x: Tensor, indices) -> Tensor:
         """Select rows by an integer array; repeated rows accumulate gradient."""
@@ -169,27 +183,21 @@ class Tape:
         if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
             raise IndexError(f"gather_rows: index out of range for {x.data.shape}")
         xd = x.data
-
-        def pull(g):
-            out = np.zeros_like(xd)
-            np.add.at(out, idx, g)
-            return out
-
-        return self._emit("gather_rows", xd[idx], [(x, pull)])
+        return self.emit("gather_rows", xd[idx], [(x, lambda g: scatter_rows(xd, idx, g))])
 
     def sum(self, x: Tensor) -> Tensor:
         xd = x.data
-        return self._emit("sum", np.asarray(xd.sum()), [(x, lambda g: np.full_like(xd, float(g)))])
+        return self.emit("sum", np.asarray(xd.sum()), [(x, lambda g: np.full_like(xd, float(g)))])
 
     def mean(self, x: Tensor) -> Tensor:
         xd = x.data
         if xd.size == 0:
             raise ValueError("mean: empty tensor")
-        return self._emit("mean", np.asarray(xd.mean()), [(x, lambda g: np.full_like(xd, float(g) / xd.size))])
+        return self.emit("mean", np.asarray(xd.mean()), [(x, lambda g: np.full_like(xd, float(g) / xd.size))])
 
     def reshape(self, x: Tensor, shape) -> Tensor:
         orig = x.data.shape
-        return self._emit("reshape", x.data.reshape(shape), [(x, lambda g: g.reshape(orig))])
+        return self.emit("reshape", x.data.reshape(shape), [(x, lambda g: g.reshape(orig))])
 
     # -- backward ------------------------------------------------------
 
@@ -213,7 +221,7 @@ class Tape:
             if g is None:
                 continue
             for inp, pull in pulls:
-                if inp.requires_grad or id(inp) in self._produced:
+                if self.tracks(inp):
                     piece = pull(g)
                     held = grads.get(inp)
                     grads[inp] = piece if held is None else held + piece

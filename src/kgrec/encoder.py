@@ -1,12 +1,12 @@
 """Graph-convolutional item embeddings and the recurrent user-state network.
 
 The GCN is one whole-graph propagation (propagate_all), recorded once per
-parameter version and shared by inference and the TD loss. The GRU steps
-batches of rows: taped (gru_step_rows, folded over click histories by
-encode_rows) and plain numpy (gru_step_np, the same forward operations),
-which inference uses to step all the states it holds at once, over the
-padded history rows of padded_rows. The per-state forms the batched ones
-are held to are in `tests/oracles.py`.
+parameter version and shared by inference and the TD loss. One GRU
+definition (gru_gates) steps batches of rows: inference steps all the
+states it holds at once (gru_step_np), and the TD loss folds the padded
+history rows of padded_rows as one tape record with a hand-written BPTT
+(encode_rows). The per-op taped fold and the per-state forms these are
+held to are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, glorot_uniform, sigmoid
+from .autodiff import Tape, Tensor, checked, glorot_uniform, scatter_rows, sigmoid
 from .graph import KnowledgeGraph
 
 
@@ -88,42 +88,84 @@ def propagate_all(g: KnowledgeGraph, base: Tensor, gcn: GcnParameters, tape: Tap
     return out
 
 
-def gru_step_rows(p: GruParameters, h_prev: Tensor, items: Tensor, tape: Tape) -> Tensor:
-    """One gated update of B session states (B, d) by B clicked-item rows."""
-    z = tape.sigmoid(tape.add(tape.linear(items, p.w_update, p.b_update),
-                              tape.linear(h_prev, p.u_update)))
-    r = tape.sigmoid(tape.add(tape.linear(items, p.w_reset, p.b_reset),
-                              tape.linear(h_prev, p.u_reset)))
-    h_cand = tape.tanh(tape.add(tape.linear(items, p.w_cand, p.b_cand),
-                                tape.linear(tape.mul(r, h_prev), p.u_cand)))
-    return tape.add(tape.mul(tape.scale(z, -1.0, 1.0), h_prev), tape.mul(z, h_cand))
+def gru_gates(p: GruParameters, h: np.ndarray, x: np.ndarray):
+    """One gated update of B states h (B, d) by B item rows x (B, d): the new
+    states (1 - z) * h + z * cand, the pre-activation sums x @ W.T + b +
+    h @ U.T of z, r and cand (cand's over r * h), and the gates (z, r, cand),
+    in the operation order of the per-op taped GRU in `tests/oracles.py`."""
+    pre_z = x @ p.w_update.data.T + p.b_update.data + h @ p.u_update.data.T
+    pre_r = x @ p.w_reset.data.T + p.b_reset.data + h @ p.u_reset.data.T
+    z, r = sigmoid(pre_z), sigmoid(pre_r)
+    pre_c = x @ p.w_cand.data.T + p.b_cand.data + (r * h) @ p.u_cand.data.T
+    cand = np.tanh(pre_c)
+    return (1.0 - z) * h + z * cand, (pre_z, pre_r, pre_c), (z, r, cand)
 
 
 def gru_step_np(p: GruParameters, h_prev: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """gru_step_rows without a tape: the same forward values, byte for byte."""
-    z = sigmoid(items @ p.w_update.data.T + p.b_update.data + h_prev @ p.u_update.data.T)
-    r = sigmoid(items @ p.w_reset.data.T + p.b_reset.data + h_prev @ p.u_reset.data.T)
-    h_cand = np.tanh(items @ p.w_cand.data.T + p.b_cand.data + (r * h_prev) @ p.u_cand.data.T)
-    return (1.0 - z) * h_prev + z * h_cand
+    """The new states of gru_gates."""
+    return gru_gates(p, h_prev, items)[0]
 
 
 def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
                 histories: list[tuple], tape: Tape) -> Tensor:
-    """Batched state encoding: (B, d) hidden rows for B histories.
+    """(B, d) hidden rows for B histories, taped as one record.
 
-    Histories are right-padded; padded steps keep the previous hidden
-    value through masking, so results match per-history folding.
+    Histories are right-padded; a padded step zeroes its input row and keeps
+    the previous hidden value through masking. The backward is a BPTT that
+    adds every gradient in the order of the per-op taped fold in
+    `tests/oracles.py`, so the bytes match: steps in reverse; the hidden
+    gradient as the (1 - mask), 1 - z and r terms, @ u_reset, @ u_update; the
+    input's as @ w_cand, @ w_reset, @ w_update; parameters step T first. The
+    item matrix gets one pull per step, T first, each building its dense
+    scatter only when called.
     """
-    dim = item_matrix.shape[1]
-    h = Tensor(np.zeros((len(histories), dim)))
     rows, valid = padded_rows(row_of, histories)
-    masks = np.repeat(valid[:, :, None].astype(np.float64), dim, axis=2)
-    for t in range(len(rows)):
-        items = tape.gather_rows(item_matrix, rows[t])
-        items = tape.mul_const(items, masks[t])  # zero the padded rows' input
-        step = gru_step_rows(gru, h, items, tape)
-        h = tape.add(tape.mul_const(step, masks[t]), tape.mul_const(h, 1.0 - masks[t]))
-    return h
+    h = np.zeros((len(histories), item_matrix.shape[1]))
+    if not len(rows):
+        return Tensor(h)
+    matrix = item_matrix.data
+    saved = []
+    for keep, step_rows in zip(valid, rows):
+        mask = keep[:, None].astype(np.float64)
+        x = matrix[step_rows] * mask
+        step, pre, gates = gru_gates(gru, h, x)
+        for value in pre:
+            checked("encode_rows", value)
+        saved.append((h, x, mask, gates))
+        h = checked("encode_rows", step * mask + h * (1.0 - mask))
+
+    w_u, u_u, _, w_r, u_r, _, w_c, u_c, _ = (t.data for t in gru.tensors())
+    want_items = tape.tracks(item_matrix)
+    grads = []
+
+    def bptt(g):  # at the first pull: the 9 parameters' gradients, then each step's input rows'
+        if grads:
+            return grads
+        for h, x, mask, (z, r, cand) in reversed(saved):
+            gs = g * mask
+            g_z = gs * cand - gs * h
+            g_c = gs * z * (1.0 - cand * cand)
+            g_rh = g_c @ u_c
+            g_r = g_rh * h * r * (1.0 - r)
+            g_z = g_z * z * (1.0 - z)
+            g = g * (1.0 - mask) + gs * (1.0 - z) + g_rh * r + g_r @ u_r + g_z @ u_u
+            pieces = (g_z.T @ x, g_z.T @ h, g_z.sum(axis=0), g_r.T @ x, g_r.T @ h,
+                      g_r.sum(axis=0), g_c.T @ x, g_c.T @ (r * h), g_c.sum(axis=0))
+            if grads:
+                for held, piece in zip(grads, pieces):
+                    held += piece
+            else:
+                grads.extend(pieces)
+            if want_items:
+                grads.append((g_c @ w_c + g_r @ w_r + g_z @ w_u) * mask)
+        saved.clear()
+        return grads
+
+    pulls = [(t, lambda g, k=k: bptt(g)[k]) for k, t in enumerate(gru.tensors())]
+    if want_items:
+        pulls += [(item_matrix, lambda g, k=k: scatter_rows(matrix, rows[-1 - k], bptt(g)[9 + k]))
+                  for k in range(len(rows))]
+    return tape.emit("encode_rows", h, pulls)
 
 
 def padded_rows(row_of: np.ndarray, histories: list[tuple]) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .agent import (CurvePoint, Environment, TrainConfig, TrainSettings, evaluate_policy,
-                    save_checkpoint, train)
+from .agent import (CurvePoint, Environment, TrainConfig, TrainSettings, save_checkpoint,
+                    train)
 from .graph import KnowledgeGraph, build_graph, read_links, read_triples
 from .metrics import EvaluationReport, build_report, wilcoxon_signed_rank
 from .simulator import fit_mf, popularity_table, split_users
@@ -307,11 +307,11 @@ def run_single_seed(env: Environment, graph: KnowledgeGraph | None,
     os.makedirs(run_dir, exist_ok=True)
     cfg = config.train_config()
     cfg_hash = config.config_hash()
-    params, target, curve = train(env, graph, cfg, seed)
+    result = train(env, graph, cfg, seed)
+    params, target, curve = result
     curve_path = os.path.join(run_dir, "curve.csv")
     atomic_write(curve_path, curve_csv_text(curve, seed))
-    logs = evaluate_policy(params, env, graph, cfg, mode="greedy")
-    report = build_report(env.test_users, logs, env.test_preference_counts(),
+    report = build_report(env.test_users, result.final_logs, env.test_preference_counts(),
                           cfg.resolved_eval_gamma(),
                           interactions=curve[-1].interactions, config_hash=cfg_hash)
     report_path = os.path.join(run_dir, "report.txt")

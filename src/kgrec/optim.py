@@ -40,7 +40,7 @@ def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], stat
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} does not match parameter {p.data.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("adam_step: non-finite gradient, update rejected")
     state.step += 1
     t = state.step

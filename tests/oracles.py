@@ -1,13 +1,14 @@
 """Straightforward reference forms of the package's batched and cached paths.
 
 The exact forms here (the set BFS of candidate selection, the per-rating
-simulator fit, the `np.add.at` TransE scatter and the `np.isin` catalog
-fallback) are what a faster function in `kgrec` must reproduce bit for
-bit, on random inputs and on whole training runs. The per-state forms of
-inference (a one-state GRU step, the allocating scorer of one candidate
-set, the per-sample double-Q rule, the epsilon-greedy pick and a
-per-user episode) are what the batched inference path is held to within
-a tolerance, since stacked gemms round differently from per-row ones.
+simulator fit, the `np.add.at` TransE scatter, the `np.isin` catalog
+fallback and the per-op taped GRU fold) are what a faster function in
+`kgrec` must reproduce bit for bit, on random inputs and on whole
+training runs. The per-state forms of inference (a one-state GRU step,
+the allocating scorer of one candidate set, the per-sample double-Q
+rule, the epsilon-greedy pick and a per-user episode) are what the
+batched inference path is held to within a tolerance, since stacked
+gemms round differently from per-row ones.
 The one-row and per-item forms state a batched computation for one
 sample, so tests can check it against finite differences and
 hand-derived equations. The rest are helpers only the tests call: a
@@ -17,12 +18,40 @@ single action pick, the simulator's batch MF loss and a curve CSV reader.
 import numpy as np
 
 from kgrec.agent import CurvePoint, build_candidates, q_rows
-from kgrec.autodiff import sigmoid
-from kgrec.encoder import gru_step_rows
+from kgrec.autodiff import Tensor, sigmoid
+from kgrec.encoder import padded_rows
 from kgrec.experiments import CURVE_HEADER
 from kgrec.graph import CandidateSet, k_hop_sets
 from kgrec.simulator import SimulatorModel, reset, step
 from kgrec.textio import read_csv
+
+
+def gru_step_rows(p, h_prev, items, tape):
+    """One gated update of B session states (B, d) by B clicked-item rows,
+    as 17 taped ops."""
+    z = tape.sigmoid(tape.add(tape.linear(items, p.w_update, p.b_update),
+                              tape.linear(h_prev, p.u_update)))
+    r = tape.sigmoid(tape.add(tape.linear(items, p.w_reset, p.b_reset),
+                              tape.linear(h_prev, p.u_reset)))
+    h_cand = tape.tanh(tape.add(tape.linear(items, p.w_cand, p.b_cand),
+                                tape.linear(tape.mul(r, h_prev), p.u_cand)))
+    return tape.add(tape.mul(tape.scale(z, -1.0, 1.0), h_prev), tape.mul(z, h_cand))
+
+
+def encode_rows_taped(gru, item_matrix, row_of, histories, tape):
+    """`kgrec.encoder.encode_rows` as 22 taped ops per step: a row gather,
+    the masked input, `gru_step_rows` and the masked blend of old and new
+    states."""
+    dim = item_matrix.shape[1]
+    h = Tensor(np.zeros((len(histories), dim)))
+    rows, valid = padded_rows(row_of, histories)
+    masks = np.repeat(valid[:, :, None].astype(np.float64), dim, axis=2)
+    for t in range(len(rows)):
+        items = tape.gather_rows(item_matrix, rows[t])
+        items = tape.mul_const(items, masks[t])  # zero the padded rows' input
+        step = gru_step_rows(gru, h, items, tape)
+        h = tape.add(tape.mul_const(step, masks[t]), tape.mul_const(h, 1.0 - masks[t]))
+    return h
 
 
 def gru_step(p, h_prev, item_vec, tape):

@@ -49,8 +49,8 @@ from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
 from oracles import (candidate_items_bfs, catalog_fallback_isin, compute_targets_per_sample,
                      double_q_targets, episode_per_state, epsilon_greedy, fit_mf_loop,
-                     fold_history_np, q_value, score_candidates_alloc, select_action,
-                     transe_loss_and_grads_add_at)
+                     encode_rows_taped, fold_history_np, q_value, score_candidates_alloc,
+                     select_action, transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -802,8 +802,8 @@ def test_full_variant_trains_end_to_end():
 
 def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     # the same world and training with the wave-scheduled simulator fit, the
-    # cached graph rows and the ordered TransE scatter swapped for their
-    # plain reference forms
+    # cached graph rows, the ordered TransE scatter and the one-record GRU
+    # fold swapped for their plain reference forms
     paths = write_dataset(str(tmp_path / "world"),
                           generate(SynthSpec(clusters=3, items_per_cluster=8, users=60,
                                              home_ratings_per_user=2, out_ratings_per_user=2,
@@ -835,10 +835,17 @@ def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     monkeypatch.setattr(agent_module, "fit_mf", reference_fit)
     monkeypatch.setattr(agent_module, "candidate_items", reference_candidates)
     monkeypatch.setattr(transe_module, "transe_loss_and_grads", transe_loss_and_grads_add_at)
+    folds = []
+
+    def reference_fold(*args):
+        folds.append(args)
+        return encode_rows_taped(*args)
+
+    monkeypatch.setattr(agent_module, "encode_rows", reference_fold)
     _, _, reference = train(build_environment(ds, config), ds.graph, cfg, seed=3)
-    # the world was refitted by the loop, and both the linked candidates
-    # and the catalog fallback were exercised
-    assert fits
+    # the world was refitted by the loop, the TD losses were taped per op,
+    # and both the linked candidates and the catalog fallback were exercised
+    assert fits and folds
     assert any(found) and not all(found)
     assert curve_csv_text(curve, 3) == curve_csv_text(reference, 3)
 

@@ -1,14 +1,18 @@
 """Graph convolution and session GRU: parity, gradients, invariants."""
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference, rel_error
 from kgrec.autodiff import Tape, Tensor
-from kgrec.encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, gru_step_rows,
+from kgrec.encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, padded_rows,
                            propagate_all)
 from kgrec.graph import KnowledgeGraph
-from oracles import fold_history_np, gru_step_vec, item_embedding_np
+from oracles import (encode_rows_taped, fold_history_np, gru_step_rows, gru_step_vec,
+                     item_embedding_np)
 
 TOL = 1e-5
 
@@ -118,26 +122,139 @@ def test_gru_gradients_match_finite_differences():
     for trial in range(5):
         dim = 3
         gru = GruParameters.init(dim, rng)
-        rows = 2
-        h0 = Tensor(rng.standard_normal((rows, dim)))
-        x0 = Tensor(rng.standard_normal((rows, dim)), requires_grad=True)
-        x1 = Tensor(rng.standard_normal((rows, dim)), requires_grad=True)
-        weights = rng.standard_normal((rows, dim))
-        params = gru.tensors() + [x0, x1]
+        matrix = Tensor(rng.standard_normal((3, dim)), requires_grad=True)
+        histories = [(0, 1), (2,), (1, 1, 0), ()]
+        weights = rng.standard_normal((len(histories), dim))
+        params = gru.tensors() + [matrix]
 
         def loss_fn():
             tape = Tape()
-            h = gru_step_rows(gru, h0, x0, tape)
-            h = gru_step_rows(gru, h, x1, tape)
+            h = encode_rows(gru, matrix, np.arange(3), histories, tape)
             return float(tape.sum(tape.mul_const(h, weights)).data)
 
         tape = Tape()
-        h = gru_step_rows(gru, h0, x0, tape)
-        h = gru_step_rows(gru, h, x1, tape)
+        h = encode_rows(gru, matrix, np.arange(3), histories, tape)
         grads = tape.backward(tape.sum(tape.mul_const(h, weights)), wrt=params)
         want = finite_difference(loss_fn, params)
         for t in params:
             assert rel_error(grads[t], want[t]) < TOL, f"trial {trial}"
+
+
+@contextmanager
+def _recorded_pulls():
+    """Every record emitted meanwhile, as (name, list of pulls)."""
+    records = []
+    real_emit = Tape.emit
+
+    def spy(tape, name, out, pulls):
+        pulls = list(pulls)
+        records.append((name, pulls))
+        return real_emit(tape, name, out, pulls)
+
+    Tape.emit = spy
+    try:
+        yield records
+    finally:
+        Tape.emit = real_emit
+
+
+def _fold_and_grads(fold, gru, matrix, row_of, histories, actions, weights, mode):
+    """h, the gradients of a loss over [h, action rows] and the number of
+    item-matrix pulls per fold record, with the matrix a trainable leaf, an
+    op output of the tape or frozen."""
+    tape = Tape()
+    base = Tensor(matrix, requires_grad=mode != "frozen")
+    items = tape.scale(base, 1.0) if mode == "produced" else base
+    with _recorded_pulls() as records:
+        h = fold(gru, items, row_of, histories, tape)
+    acted = tape.gather_rows(items, actions)
+    loss = tape.sum(tape.mul_const(tape.concat_cols(h, acted), weights))
+    grads = tape.backward(loss, wrt=gru.tensors())
+    pulled = [sum(inp is items for inp, _ in pulls) for name, pulls in records
+              if name == "encode_rows"]
+    return h.data, [grads[t] for t in gru.tensors()], grads.get(base), pulled
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5), n_rows=st.integers(1, 6),
+       mode=st.sampled_from(["leaf", "produced", "frozen"]), seed=st.integers(0, 2**32 - 1))
+def test_one_record_fold_is_the_taped_fold_bytewise(data, dim, n_rows, mode, seed):
+    rng = np.random.default_rng(seed)
+    gru = GruParameters.init(dim, rng)
+    for b in (gru.b_update, gru.b_reset, gru.b_cand):
+        b.data = rng.standard_normal(dim)
+    matrix = rng.standard_normal((n_rows, dim)) * data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    # few rows behind many item ids: rows repeat within and across steps
+    row_of = rng.integers(0, n_rows, size=data.draw(st.integers(1, 12)))
+    item = st.integers(0, len(row_of) - 1)
+    histories = data.draw(st.lists(st.lists(item, max_size=9).map(tuple), min_size=1,
+                                   max_size=7)
+                          | st.integers(1, 4).map(lambda b: [()] * b))
+    actions = rng.integers(0, n_rows, size=len(histories))
+    weights = rng.standard_normal((len(histories), 2 * dim))
+    args = (gru, matrix, row_of, histories, actions, weights, mode)
+    h, gru_grads, matrix_grad, pulled = _fold_and_grads(encode_rows, *args)
+    want_h, want_gru, want_matrix, _ = _fold_and_grads(encode_rows_taped, *args)
+    assert h.tobytes() == want_h.tobytes()
+    for got, want in zip(gru_grads, want_gru):
+        assert got.tobytes() == want.tobytes()
+    assert (matrix_grad is None) == (mode == "frozen") == (want_matrix is None)
+    if matrix_grad is not None:
+        assert matrix_grad.tobytes() == want_matrix.tobytes()
+    # one record with one matrix pull per step, none for a frozen matrix
+    steps = max(map(len, histories))
+    assert pulled == ([] if steps == 0 else [0 if mode == "frozen" else steps])
+
+
+def test_flat_scatter_over_steps_would_change_the_matrix_gradient():
+    # The matrix gradient is the action gather's piece plus one dense
+    # scatter per step, T first, as the per-step gathers added up. One
+    # np.add.at over every step's rows associates the same terms otherwise
+    # and changes the last bits of this fixed case.
+    rng = np.random.default_rng(7)
+    dim, n_rows = 4, 3
+    gru = GruParameters.init(dim, rng)
+    matrix = rng.standard_normal((n_rows, dim))
+    histories = [(0, 1, 2, 0, 1), (2, 0, 1, 2), (1, 2, 0)]
+    actions = np.array([0, 1, 2])
+    weights = rng.standard_normal((3, 2 * dim))
+    args = (gru, matrix, np.arange(n_rows), histories, actions, weights, "leaf")
+    got = _fold_and_grads(encode_rows, *args)[2]
+    want = _fold_and_grads(encode_rows_taped, *args)[2]
+    assert got.tobytes() == want.tobytes()
+
+    # the loss is a weighted sum of [h, action rows]: its gradients are the
+    # weights' halves; each step's rows are distinct, so its dense piece
+    # holds the step's input-row gradient unchanged
+    g_h, g_acted = np.split(weights, 2, axis=1)
+    items = Tensor(matrix, requires_grad=True)
+    with _recorded_pulls() as records:
+        encode_rows(gru, items, np.arange(n_rows), histories, Tape())
+    (_, pulls), = records
+    pieces = [pull(g_h) for inp, pull in pulls if inp is items]
+    rows = padded_rows(np.arange(n_rows), histories)[0][::-1]
+    action_piece = np.zeros_like(matrix)
+    np.add.at(action_piece, actions, g_acted)
+    per_step = action_piece
+    for piece in pieces:
+        per_step = per_step + piece
+    flat = np.zeros_like(matrix)
+    np.add.at(flat, rows.ravel(), np.concatenate([p[r] for p, r in zip(pieces, rows)]))
+    assert per_step.tobytes() == want.tobytes()
+    assert (action_piece + flat).tobytes() != want.tobytes()
+
+
+def test_non_finite_pre_activation_raises():
+    # rows near 1e308 overflow the update-gate linear to inf, which sigmoid
+    # would saturate to a finite 1.0; both folds refuse it
+    gru = _zero_gru(2)
+    gru.w_update.data[:] = 1.0
+    matrix = Tensor(np.full((2, 2), 1e308), requires_grad=True)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(gru_step_np(gru, np.zeros((1, 2)), matrix.data[:1])).all()
+        for fold in (encode_rows, encode_rows_taped):
+            with pytest.raises(FloatingPointError):
+                fold(gru, matrix, np.arange(2), [(0, 1)], Tape())
 
 
 def test_aggregate_and_integrate_hand_case():

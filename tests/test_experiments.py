@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kgrec.agent as agent_module
 import kgrec.experiments as experiments_module
 from kgrec import cli
-from kgrec.agent import CurvePoint, TrainConfig, VARIANTS
+from kgrec.agent import CurvePoint, TrainConfig, VARIANTS, evaluate_policy, load_checkpoint
 from kgrec.experiments import (
     ExperimentConfig,
     build_environment,
@@ -26,6 +27,7 @@ from kgrec.experiments import (
     run_experiment,
     sweep_candidates,
 )
+from kgrec.metrics import build_report
 from kgrec.synth import SynthSpec, generate, write_dataset
 from oracles import read_curve
 
@@ -539,6 +541,35 @@ def test_run_experiment_writes_complete_artifacts(world, tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1", "mean", "std"]
     rewards = [float(r[1]) for r in rows[1:3]]
     assert float(rows[3][1]) == pytest.approx(np.mean(rewards), abs=1e-12)
+
+
+def test_reports_reuse_the_last_curve_points_greedy_pass(world, tmp_path, monkeypatch):
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args[0])
+        return evaluate_policy(*args, **kwargs)
+
+    monkeypatch.setattr(agent_module, "evaluate_policy", counted)
+    monkeypatch.setattr(experiments_module, "evaluate_policy", counted, raising=False)
+    config = _tiny_config(world, str(tmp_path / "exp"), seeds="0,1")
+    artifacts = run_experiment(config)
+    # one greedy pass per curve point, none more once training is over
+    assert len(passes) == sum(len(a.curve) for a in artifacts)
+    monkeypatch.undo()
+    # the reports hold the bytes a fresh greedy pass of the final policy gives
+    ds = ingest(config)
+    env = build_environment(ds, config)
+    for a in artifacts:
+        params, _, cfg, meta = load_checkpoint(a.checkpoint_path, ds.graph)
+        logs = evaluate_policy(params, env, ds.graph, cfg)
+        report = build_report(env.test_users, logs, env.test_preference_counts(),
+                              cfg.resolved_eval_gamma(), interactions=meta["interactions"],
+                              config_hash=meta["config_hash"])
+        for path, text in ((a.report_path, report.flat_text()),
+                           (a.per_user_path, report.per_user_csv())):
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == text
 
 
 def test_rerun_reproduces_curves_byte_for_byte(world, tmp_path):
