@@ -8,7 +8,9 @@ Inference is batched numpy over the same parameters: one GRU row step
 (gru_step_np) for every state that moved, and one score_candidates call
 for many states' candidate sets, adding each state's half of the first
 advantage layer to the item half a QScorer holds per parameter version.
-The double-Q targets fold a replay batch as one padded GRU fold.
+The double-Q targets fold a replay batch as one padded GRU fold; the
+online heads score the candidate sets and the target heads only each
+sample's online pick (the whole set when the advantage is centered).
 """
 
 from __future__ import annotations
@@ -394,7 +396,10 @@ def compute_targets(batch: Sequence[Experience], params: AgentParameters,
     """Double-Q targets y = r + gamma * Q_target(s', a*), a* the online argmax
     (the first candidate among ties), and y = r on terminal samples; no
     gradient. The next states are one padded GRU fold, each step advancing
-    the histories still running; candidate_groups are scored by both heads.
+    the histories still running. The online heads score candidate_groups;
+    the target heads then score one row per live sample, its a*. With
+    `center` the target's mean advantage is over the whole set, so the
+    target heads score the full sets instead.
     """
     y = np.array([e.reward for e in batch], dtype=np.float64)
     live = np.flatnonzero([not e.terminal for e in batch])
@@ -404,12 +409,18 @@ def compute_targets(batch: Sequence[Experience], params: AgentParameters,
     states = np.zeros((len(live), params.gru.dim))
     for on, row in zip(running, clicks):
         states[on] = gru_step_np(params.gru, states[on], matrix[row[on]])
-    target = QScorer(target_qnet, matrix)
+    target = QScorer(target_qnet, matrix) if center else None
+    picked = np.empty(len(live), dtype=np.int64)
     for keys, ids, sizes in candidate_groups(enumerate(batch[k].next_candidates for k in live)):
         rows = params.source.rows(ids)
         q_online = score_candidates(online, states[keys], rows, sizes, center)
-        q_target = score_candidates(target, states[keys], rows, sizes, center)
-        y[live[keys]] += gamma * q_target[segment_argmax(q_online, sizes, np.arange(len(rows)))]
+        at = segment_argmax(q_online, sizes, np.arange(len(rows)))
+        if center:
+            y[live[keys]] += gamma * score_candidates(target, states[keys], rows, sizes, True)[at]
+        picked[keys] = rows[at]
+    if not center and len(live):
+        y[live] += gamma * score_candidates(QScorer(target_qnet, matrix[picked]), states,
+                                            np.arange(len(live)), np.ones(len(live), np.int64))
     return y
 
 

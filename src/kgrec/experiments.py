@@ -355,9 +355,20 @@ def run_experiment(config: ExperimentConfig) -> list[RunArtifacts]:
 
 
 def _read_per_user(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rows = read_csv(path, "user,reward,precision,recall")
-    users = np.asarray([int(row[0]) for row in rows])
-    return (users, *(np.asarray([float(row[k]) for row in rows]) for k in (1, 2, 3)))
+    """(users, rewards, precisions, recalls) of a report_users.csv; a row
+    that does not parse, or holds a non-finite metric, raises ValueError
+    with the path and line."""
+    users, values = [], []
+    for lineno, row in read_csv(path, "user,reward,precision,recall"):
+        try:
+            users.append(int(row[0]))
+            values.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric user or metric in "
+                             f"{','.join(row)!r}") from None
+        if not all(map(math.isfinite, values[-1])):
+            raise ValueError(f"{path}:{lineno}: non-finite reward, precision or recall")
+    return (np.asarray(users), *np.asarray(values, dtype=np.float64).reshape(-1, 3).T)
 
 
 def _seed_dirs(run_dir: str) -> list[str]:

@@ -93,13 +93,25 @@ def csv_text(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def read_csv(path: str, header: str) -> list[list[str]]:
-    """The comma-split non-blank lines after the first, which must be `header`."""
+def read_csv(path: str, header: str) -> list[tuple[int, list[str]]]:
+    """(line number, fields) per comma-split non-blank line after the first,
+    which must be `header`; a row whose field count differs from the
+    header's raises ValueError with the path and line."""
+    width = header.count(",") + 1
+    rows = []
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first != header:
             raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
-        return [line.strip().split(",") for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.strip().split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} comma-separated fields "
+                                 f"({header}), got {len(parts)}")
+            rows.append((lineno, parts))
+    return rows
 
 
 @contextmanager

@@ -339,4 +339,4 @@ def read_curve(path):
     """Parse a `curve.csv` written by `kgrec.experiments.curve_csv_text`."""
     return [CurvePoint(interactions=int(inter), reward=float(reward),
                        precision=float(precision), recall=float(recall))
-            for inter, reward, precision, recall, _ in read_csv(path, CURVE_HEADER)]
+            for _, (inter, reward, precision, recall, _) in read_csv(path, CURVE_HEADER)]

@@ -658,6 +658,79 @@ def test_targets_over_several_candidate_groups_match_per_sample_form():
             assert abs(got[k] - want[k]) <= 1e-12
 
 
+def test_target_heads_score_one_row_per_live_sample(monkeypatch):
+    rng = np.random.default_rng(25)
+    params = AgentParameters(source=_manual_source(rng, 40, 4), gru=GruParameters.init(4, rng),
+                             qnet=_qnet(rng, 4))
+    target = _qnet(rng, 4)
+    batch = [Experience(observation=(), action=0, reward=0.1 * k,
+                        next_observation=tuple(rng.integers(0, 40, k % 3)),
+                        next_candidates=rng.choice(40, 5 + 3 * k, replace=False),
+                        terminal=k % 4 == 3)
+             for k in range(10)]
+    live_sets = [len(e.next_candidates) for e in batch if not e.terminal]
+    calls = []  # per score_candidates call: which heads, rows, sets
+    scored = agent_module.score_candidates
+
+    def spy(scorer, states, rows, sizes, center=False):
+        heads = "online" if scorer.qnet is params.qnet else "target"
+        calls.append((heads, len(rows), len(sizes)))
+        return scored(scorer, states, rows, sizes, center)
+
+    monkeypatch.setattr(agent_module, "score_candidates", spy)
+    compute_targets(batch, params, target, 0.9)
+    online = [c for c in calls if c[0] == "online"]
+    assert sum(rows for _, rows, _ in online) == sum(live_sets)
+    assert [c for c in calls if c[0] == "target"] == [("target", len(live_sets), len(live_sets))]
+
+    calls.clear()
+    ended = [Experience((), 0, 0.5 * k, (), np.empty(0, np.int64), True) for k in range(3)]
+    assert compute_targets(ended, params, target, 0.9).tolist() == [0.0, 0.5, 1.0]
+    assert calls == []
+
+    # centering subtracts the target's mean advantage over the whole set
+    compute_targets(batch, params, target, 0.9, center=True)
+    scored = {heads: sum(rows for h, rows, _ in calls if h == heads)
+              for heads in ("online", "target")}
+    assert scored == {"online": sum(live_sets), "target": sum(live_sets)}
+
+
+@pytest.mark.parametrize("value_input", ["state", "item"])
+def test_targets_at_wide_world_shapes_match_per_sample_form(monkeypatch, value_input):
+    # sets of about 2,000 ids, each alone in a group that spans two blocks
+    rng = np.random.default_rng(26)
+    n_items, dim = 2500, 16
+    params = AgentParameters(source=_manual_source(rng, n_items, dim),
+                             gru=GruParameters.init(dim, rng),
+                             qnet=_qnet(rng, dim, 32, value_input))
+    target = _qnet(rng, dim, 32, value_input)
+    batch = [Experience(observation=(), action=0, reward=float(rng.normal()),
+                        next_observation=tuple(rng.integers(0, n_items, k % 5)),
+                        next_candidates=rng.choice(n_items, int(rng.integers(1900, 2048)),
+                                                   replace=False),
+                        terminal=k % 6 == 5)
+             for k in range(12)]
+    assert all(SCORE_BLOCK < len(e.next_candidates) <= 2 * SCORE_BLOCK for e in batch)
+    matrix = params.item_matrix_data()  # builds this version's online QScorer
+    picked = []
+    scorer = agent_module.QScorer
+    monkeypatch.setattr(agent_module, "QScorer",
+                        lambda qnet, matrix: picked.append(matrix) or scorer(qnet, matrix))
+    got = compute_targets(batch, params, target, 0.9)
+    want = compute_targets_per_sample(batch, params, target, 0.9)
+    live = [k for k, e in enumerate(batch) if not e.terminal]
+    assert len(picked) == 1 and len(picked[0]) == len(live)
+    for k, e in enumerate(batch):
+        if e.terminal:
+            assert got[k] == e.reward
+        elif _gapped(params, e) > 1e-9:
+            assert abs(got[k] - want[k]) <= 1e-12
+            h = fold_history_np(params.gru, matrix, params.source.rows(e.next_observation))
+            rows = params.source.rows(e.next_candidates)
+            best = rows[int(np.argmax(score_candidates_alloc(params.qnet, h, matrix[rows])))]
+            assert np.array_equal(picked[0][live.index(k)], matrix[best])
+
+
 def _fd_batch():
     return [
         Experience(observation=(), action=1, reward=0.3,

@@ -1,12 +1,17 @@
-"""The shared atomic writer: a failed write keeps the old file and leaves
-no temporary file behind."""
+"""The text formats: a failed atomic write keeps the old file and leaves no
+temporary file behind, and malformed CSV, TSV and config input raises
+ValueError naming its file and line."""
 
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kgrec.textio import atomic_open, atomic_write
+from kgrec.experiments import _read_per_user
+from kgrec.synth import SynthSpec
+from kgrec.textio import (atomic_open, atomic_write, csv_text, field_casters, parse_flat,
+                          read_csv, read_tsv)
 
 
 def test_failed_write_keeps_old_bytes_and_no_temporary_file(tmp_path):
@@ -23,3 +28,104 @@ def test_failed_write_keeps_old_bytes_and_no_temporary_file(tmp_path):
     atomic_write(str(path), "new\n")
     assert path.read_bytes() == b"new\n"
     assert os.listdir(tmp_path) == ["curve.csv"]
+
+
+# -- malformed input names its file and line -----------------------------
+
+HEADER = "user,reward,precision,recall"
+finite = st.floats(allow_nan=False, allow_infinity=False)
+per_user_rows = st.lists(st.tuples(st.integers(-10**6, 10**6), finite, finite, finite),
+                         max_size=6)
+# tokens with no digit, so neither int() nor float() accepts them ("nan" and
+# "inf" cannot be spelled either)
+junk = st.text(alphabet="abxyz.-_ ", max_size=4).map(str.strip)
+SPEC_CASTERS = field_casters(SynthSpec)
+
+
+def _with_line(lines, bad, data, first):
+    """`lines` with blank lines strewn in and `bad` inserted; the file text
+    and the line number (counting from `first`) of `bad`."""
+    body = [line for row in lines for line in data.draw(st.sampled_from([[row], ["", row]]))]
+    at = data.draw(st.integers(0, len(body)))
+    body.insert(at, bad)
+    return "".join(f"{line}\n" for line in body), first + at
+
+
+def _raises_at(call, path, lineno):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).startswith(f"{path}:{lineno}: "), str(err.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=per_user_rows, kind=st.sampled_from(["width", "junk", "nonfinite"]))
+def test_malformed_per_user_rows_raise_with_their_line(tmp_path_factory, data, rows, kind):
+    if kind == "width":
+        fields = st.text(alphabet="0123456789.-abc", min_size=1, max_size=5)
+        bad = ",".join(data.draw(st.lists(fields, min_size=1, max_size=7)
+                                 .filter(lambda f: len(f) != 4)))
+    else:
+        cells = ["7", "0.5", "0.25", "0.125"]
+        column = data.draw(st.integers(0 if kind == "junk" else 1, 3))
+        cells[column] = data.draw(junk if kind == "junk" else
+                                  st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+        bad = ",".join(cells)
+    text, lineno = _with_line(csv_text(HEADER, rows).splitlines()[1:], bad, data, first=2)
+    path = tmp_path_factory.mktemp("per_user") / "report_users.csv"
+    path.write_text(f"{HEADER}\n{text}")
+    _raises_at(lambda: _read_per_user(str(path)), path, lineno)
+    if kind == "width":
+        _raises_at(lambda: read_csv(str(path), HEADER), path, lineno)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), widths=st.sampled_from([(2,), (3,), (3, 4)]))
+def test_malformed_tsv_rows_raise_with_their_line(tmp_path_factory, data, widths):
+    token = st.text(alphabet="abc0123456789.", min_size=1, max_size=4)
+    row = st.integers(0, len(widths) - 1).flatmap(
+        lambda k: st.lists(token, min_size=widths[k], max_size=widths[k]))
+    good = ["\t".join(fields) for fields in data.draw(st.lists(row, max_size=6))]
+    bad = "\t".join(data.draw(st.lists(token, min_size=1, max_size=6)
+                              .filter(lambda f: len(f) not in widths)))
+    text, lineno = _with_line(good, bad, data, first=1)
+    path = tmp_path_factory.mktemp("tsv") / "rows.tsv"
+    path.write_text(text)
+    _raises_at(lambda: list(read_tsv(str(path), widths, "a row")), path, lineno)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["no_equals", "unknown", "duplicate", "value"]))
+def test_malformed_config_lines_raise_with_their_line(data, kind):
+    keys = data.draw(st.lists(st.sampled_from(sorted(SPEC_CASTERS)), unique=True, min_size=1))
+    value = {"int": st.integers(-99, 99).map(str), "float": finite.map(repr)}
+    good = [f"{key} = {data.draw(value[SynthSpec.__dataclass_fields__[key].type])}"
+            for key in keys]
+    good += data.draw(st.lists(st.sampled_from(["# a comment", "  ", "# x = 1"]), max_size=3))
+    if kind == "no_equals":
+        bad = data.draw(st.text(alphabet="abc xyz", min_size=1).filter(str.strip))
+    elif kind == "unknown":
+        bad = f"{data.draw(st.text(alphabet='xyz_', min_size=1))} = 1"
+    elif kind == "duplicate":
+        bad = f"{keys[0]} = 1"
+    else:
+        bad = f"{keys[0]} = {data.draw(junk)}"
+    if kind == "duplicate":  # after the line that sets the key first
+        text, lineno = _with_line(good[1:], bad, data, first=2)
+        text = f"{good[0]}\n{text}"
+    else:
+        text, lineno = _with_line(good, bad, data, first=1)
+    _raises_at(lambda: parse_flat(text, SPEC_CASTERS, "spec.conf"), "spec.conf", lineno)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=per_user_rows)
+def test_csv_text_round_trips_through_read_csv(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("round_trip") / "report_users.csv"
+    path.write_text(csv_text(HEADER, rows))
+    read = read_csv(str(path), HEADER)
+    assert [lineno for lineno, _ in read] == list(range(2, len(rows) + 2))
+    assert [(int(u), *map(float, metrics)) for _, (u, *metrics) in read] == rows
+    users, *metrics = _read_per_user(str(path))
+    assert users.tolist() == [u for u, *_ in rows]
+    for k, column in enumerate(metrics, start=1):
+        assert column.tolist() == [row[k] for row in rows]
