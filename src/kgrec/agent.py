@@ -141,9 +141,10 @@ class AgentParameters:
         return self._cache[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experience:
-    """One stored transition, including the follow-up candidate snapshot."""
+    """One stored transition, including the follow-up candidate snapshot;
+    compared and hashed by identity, since its fields hold an array."""
 
     observation: tuple
     action: int

@@ -73,22 +73,22 @@ class EpisodeState:
     records: list[StepRecord] = field(default_factory=list)
 
 
-def _waves(users: np.ndarray, items: np.ndarray, n_users: int, n_items: int):
-    """Cut a rating sequence into maximal runs with no repeated user or item.
+def _level_order(order: np.ndarray, users: np.ndarray, items: np.ndarray, n_users: int,
+                 n_items: int):
+    """Stable-sort a rating permutation by dependency level: (order, bounds).
 
-    Yields (start, stop) bounds; a rating opens a new run when its user or
-    its item already appears in the current one.
+    A rating's level is 1 + the larger of the levels of the previous rating
+    of its user and of its item in `order` (0 when there is none). Level k
+    (from 1) is the returned order[bounds[k - 1]:bounds[k]].
     """
-    last_user = [-1] * n_users
-    last_item = [-1] * n_items
-    start = 0
-    for k, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
-        if last_user[u] >= start or last_item[i] >= start:
-            yield start, k
-            start = k
-        last_user[u] = k
-        last_item[i] = k
-    yield start, len(users)
+    user_level, item_level = [0] * n_users, [0] * n_items
+    levels = []
+    for u, i in zip(users[order].tolist(), items[order].tolist()):
+        a, b = user_level[u], item_level[i]
+        level = user_level[u] = item_level[i] = (a if a > b else b) + 1
+        levels.append(level)
+    levels = np.array(levels)
+    return order[np.argsort(levels, kind="stable")], np.bincount(levels).cumsum().tolist()
 
 
 def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
@@ -98,12 +98,13 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
     """Fit the biased-MF simulator by per-observation stochastic gradient descent.
 
     Each epoch visits the ratings in one random permutation, one SGD step
-    per rating. The steps are applied in waves: a maximal run of the
-    permutation in which no user and no item repeats touches disjoint rows
-    of every parameter array, so one vector step applies the run with the
-    same scalar arithmetic, in the same order, as one step per rating. The
-    dot product is a stacked 1xd @ dx1 matmul, which numpy evaluates with
-    the same dot as `p[u] @ q[i]`; `einsum` would round differently.
+    per rating, applied one dependency level at a time (`_level_order`).
+    No user or item repeats within a level and each row's ratings fall in
+    increasing levels, so one vector step per level gives every factor and
+    bias row its updates in permutation order: the bytes of the per-rating
+    loop. The dot product is a stacked 1xd @ dx1 matmul, which numpy
+    evaluates with the same dot as `p[u] @ q[i]`; `einsum` would round
+    differently.
 
     Args:
         users, items, ratings: parallel observation arrays (dense ids).
@@ -149,9 +150,9 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
     mu = float(ratings.mean())
     lr = learning_rate
     for _ in range(epochs):
-        order = rng.permutation(users.size)
+        order, bounds = _level_order(rng.permutation(users.size), users, items, n_users, n_items)
         eu, ei, er = users[order], items[order], ratings[order]
-        for start, stop in _waves(eu, ei, n_users, n_items):
+        for start, stop in zip(bounds, bounds[1:]):
             u, i = eu[start:stop], ei[start:stop]
             pu, qi, bu_u, bi_i = p[u], q[i], bu[u], bi[i]
             dot = np.matmul(pu[:, None, :], qi[:, :, None])[:, 0, 0]

@@ -72,13 +72,13 @@ def _format_value(value) -> str:
 
 
 def read_tsv(path: str, widths: tuple[int, ...], what: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) per non-empty line of a UTF-8 TSV file, read as
-    iterated; a field count outside `widths` raises ValueError with the
-    path and line."""
+    """(line number, fields) per non-blank line of a UTF-8 TSV file, read as
+    iterated; a line of only whitespace is blank. A field count outside
+    `widths` raises ValueError with the path and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) not in widths:

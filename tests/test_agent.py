@@ -344,6 +344,14 @@ def test_replay_sampling_without_replacement():
         assert len(set(actions)) == 4
 
 
+def test_experience_compares_and_hashes_by_identity():
+    a, b = (Experience(observation=(1,), action=2, reward=0.5, next_observation=(1, 2),
+                       next_candidates=np.array([3, 4]), terminal=False) for _ in range(2))
+    assert a == a and a != b
+    assert [a, b].index(b) == 1 and b in [a, b]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_replay_validation():
     with pytest.raises(ValueError):
         ReplayBuffer(0)

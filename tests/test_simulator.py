@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rel_error
-from kgrec.simulator import (EpisodeState, SimulatorModel, fit_mf, instinctive_reward,
-                             popularity_table, preference_counts, reset, split_users, step)
+from kgrec.simulator import (EpisodeState, SimulatorModel, _level_order, fit_mf,
+                             instinctive_reward, popularity_table, preference_counts, reset,
+                             split_users, step)
 from oracles import fit_mf_loop, mf_loss_and_grads
 
 
@@ -127,8 +128,8 @@ def test_fit_is_deterministic_and_validates():
 @st.composite
 def _mf_problems(draw):
     n = draw(st.integers(1, 60))
-    # 1-4 ids repeat heavily and cut many short waves; a wide id range
-    # leaves long runs with no repeated user or item
+    # 1-4 ids repeat heavily and chain many ratings into deep levels; a
+    # wide id range leaves few levels of many ratings each
     spans = [draw(st.one_of(st.integers(1, 4), st.integers(5, 2000))) for _ in range(2)]
     users, items = (draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
                     for span in spans)
@@ -143,18 +144,22 @@ def _mf_problems(draw):
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def _problem(users, items, dim=16, epochs=5):
+def _problem(users, items, dim=16, epochs=5, **sizes):
     return dict(users=users, items=items, ratings=[1.0 + k % 5 for k in range(len(users))],
                 n_users=max(users) + 3, n_items=max(items) + 2, dim=dim, epochs=epochs,
-                learning_rate=0.01, reg=0.02, seed=11)
+                learning_rate=0.01, reg=0.02, seed=11) | sizes
 
 
 @settings(max_examples=150, deadline=None)
 @given(_mf_problems())
 @example(_problem([3], [1]))  # a single rating
 @example(_problem([2] * 9, [4] * 9))  # every rating on one (user, item) pair
-@example(_problem(list(range(40)), list(range(40)), dim=64))  # one wave per epoch
-def test_wave_fit_matches_per_rating_loop_bitwise(problem):
+@example(_problem(list(range(40)), list(range(40)), dim=64))  # one level per epoch
+@example(_problem([0] * 30, list(range(30))))  # one chain: a level per rating
+@example(_problem([0, 1] * 15, list(range(30))))  # two chains, interleaved by the permutation
+@example(_problem([0, 1, 0, 2], [1, 0, 0, 2], n_users=5000, n_items=3000))  # sparse ids
+@example(_problem([0, 1, 2], [2, 1, 1], epochs=0))  # no epoch: the initial draw
+def test_level_fit_matches_per_rating_loop_bitwise(problem):
     got = fit_mf(**problem, rating_min=0.0, rating_max=5.0)
     want = fit_mf_loop(**problem, rating_min=0.0, rating_max=5.0)
     for name in ("user_factors", "item_factors", "user_bias", "item_bias", "global_mean",
@@ -162,6 +167,44 @@ def test_wave_fit_matches_per_rating_loop_bitwise(problem):
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _rating_sequences(draw):
+    span = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, 2 * span - 1)),
+                          min_size=1, max_size=50))
+    return pairs, draw(st.permutations(range(len(pairs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rating_sequences())
+def test_level_order_keeps_every_row_in_sequence_and_is_shortest(sequence):
+    pairs, perm = sequence
+    users, items = (np.array(ids) for ids in zip(*pairs))
+    order, bounds = _level_order(np.array(perm), users, items, 6, 12)
+    n = len(pairs)
+    assert sorted(order.tolist()) == list(range(n))
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))  # no empty level
+    # from here on a rating is its position in the permuted sequence
+    users, items = users[perm], items[perm]
+    at = np.argsort(perm)[order]
+    level = np.zeros(n, dtype=np.int64)
+    for k, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=1):
+        members = at[start:stop]
+        assert np.all(np.diff(members) > 0)  # sequence order within a level
+        assert len(set(users[members])) == len(set(items[members])) == len(members)
+        level[members] = k
+    # longest chain of ratings linked by a shared user or item that ends at
+    # each rating, over every earlier rating rather than the last one per row
+    chain = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        linked = (users[:j] == users[j]) | (items[:j] == items[j])
+        assert np.all(level[:j][linked] < level[j])
+        chain[j] = 1 + chain[:j][linked].max(initial=0)
+    assert len(bounds) - 1 == chain.max()
+    assert level.tolist() == chain.tolist()
 
 
 def test_default_scale_and_threshold_from_data():

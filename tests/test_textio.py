@@ -1,6 +1,7 @@
 """The text formats: a failed atomic write keeps the old file and leaves no
-temporary file behind, and malformed CSV, TSV and config input raises
-ValueError naming its file and line."""
+temporary file behind, malformed CSV, TSV and config input raises
+ValueError naming its file and line, and every reader skips blank and
+whitespace-only lines."""
 
 import os
 
@@ -42,10 +43,22 @@ junk = st.text(alphabet="abxyz.-_ ", max_size=4).map(str.strip)
 SPEC_CASTERS = field_casters(SynthSpec)
 
 
+# every reader skips these as blank, wherever they stand in the file
+blank = st.sampled_from(["", "   ", " \t ", "\t"])
+
+
+def _strewn(lines, data):
+    """`lines` with blank and whitespace-only lines strewn before, between
+    and after them."""
+    body = [line for row in lines
+            for line in data.draw(st.lists(blank, max_size=2)) + [row]]
+    return body + data.draw(st.lists(blank, max_size=2))
+
+
 def _with_line(lines, bad, data, first):
     """`lines` with blank lines strewn in and `bad` inserted; the file text
     and the line number (counting from `first`) of `bad`."""
-    body = [line for row in lines for line in data.draw(st.sampled_from([[row], ["", row]]))]
+    body = _strewn(lines, data)
     at = data.draw(st.integers(0, len(body)))
     body.insert(at, bad)
     return "".join(f"{line}\n" for line in body), first + at
@@ -91,6 +104,11 @@ def test_malformed_tsv_rows_raise_with_their_line(tmp_path_factory, data, widths
     path = tmp_path_factory.mktemp("tsv") / "rows.tsv"
     path.write_text(text)
     _raises_at(lambda: list(read_tsv(str(path), widths, "a row")), path, lineno)
+    # without the bad line, exactly the good rows come back, at their lines
+    body = _strewn(good, data)
+    path.write_text("".join(f"{line}\n" for line in body))
+    want = [(n, line.split("\t")) for n, line in enumerate(body, start=1) if line.strip()]
+    assert list(read_tsv(str(path), widths, "a row")) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,15 +133,19 @@ def test_malformed_config_lines_raise_with_their_line(data, kind):
     else:
         text, lineno = _with_line(good, bad, data, first=1)
     _raises_at(lambda: parse_flat(text, SPEC_CASTERS, "spec.conf"), "spec.conf", lineno)
+    text = "".join(f"{line}\n" for line in _strewn(good, data))
+    assert sorted(parse_flat(text, SPEC_CASTERS, "spec.conf")) == sorted(keys)
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=per_user_rows)
-def test_csv_text_round_trips_through_read_csv(tmp_path_factory, rows):
+@given(data=st.data(), rows=per_user_rows)
+def test_csv_text_round_trips_through_read_csv(tmp_path_factory, data, rows):
+    body = _strewn(csv_text(HEADER, rows).splitlines()[1:], data)
     path = tmp_path_factory.mktemp("round_trip") / "report_users.csv"
-    path.write_text(csv_text(HEADER, rows))
+    path.write_text("".join(f"{line}\n" for line in [HEADER, *body]))
     read = read_csv(str(path), HEADER)
-    assert [lineno for lineno, _ in read] == list(range(2, len(rows) + 2))
+    assert [lineno for lineno, _ in read] == [n for n, line in enumerate(body, start=2)
+                                              if line.strip()]
     assert [(int(u), *map(float, metrics)) for _, (u, *metrics) in read] == rows
     users, *metrics = _read_per_user(str(path))
     assert users.tolist() == [u for u, *_ in rows]
