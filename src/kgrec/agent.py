@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields, asdict, replace
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,8 +143,9 @@ class AgentParameters:
 
 @dataclass(frozen=True, eq=False)
 class Experience:
-    """One stored transition, including the follow-up candidate snapshot;
-    compared and hashed by identity, since its fields hold an array."""
+    """One transition, including the follow-up candidate set (empty when
+    terminal); compared and hashed by identity, since its fields hold an
+    array."""
 
     observation: tuple
     action: int
@@ -155,28 +156,56 @@ class Experience:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring; sampling is uniform without replacement."""
+    """Fixed-capacity ring; sampling is uniform without replacement.
+
+    A transition whose next candidates fell back to the unseen catalog is
+    kept as the ids recommended before that step (at most the horizon) and
+    the catalog; reads rebuild its set as unseen_items(catalog, those ids),
+    so memory does not grow with the catalog. Graph candidate sets are kept
+    as given.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: list[Experience] = []
+        # a transition as given or, for a catalog fallback, (the transition
+        # holding the recommended ids in its set's place, the catalog)
+        self._items: list[Experience | tuple[Experience, np.ndarray]] = []
         self._cursor = 0
 
-    def add(self, exp: Experience) -> None:
+    def add(self, exp: Experience, catalog: np.ndarray | None = None,
+            recommended: Collection[int] = ()) -> None:
+        """Store `exp`. When its next candidates are the catalog fallback,
+        pass the `catalog` and the `recommended` ids the set excludes: the
+        ids are stored in the set's place."""
+        entry = exp if catalog is None else (
+            replace(exp, next_candidates=np.fromiter(recommended, np.int64, len(recommended))),
+            catalog)
         if len(self._items) < self.capacity:
-            self._items.append(exp)
+            self._items.append(entry)
         else:
-            self._items[self._cursor] = exp
+            self._items[self._cursor] = entry
             self._cursor = (self._cursor + 1) % self.capacity
+
+    def _read(self, i: int) -> Experience:
+        entry = self._items[i]
+        if isinstance(entry, Experience):
+            return entry
+        exp, catalog = entry
+        return replace(exp, next_candidates=unseen_items(catalog, exp.next_candidates))
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Experience]:
         if not self._items:
             raise ValueError("cannot sample from an empty buffer")
         k = min(batch_size, len(self._items))
         idx = rng.choice(len(self._items), size=k, replace=False)
-        return [self._items[i] for i in idx]
+        return [self._read(i) for i in idx]
+
+    def __iter__(self) -> Iterator[Experience]:
+        """The stored transitions, oldest first."""
+        order = range(self._cursor, self._cursor + len(self._items))
+        return (self._read(i % len(self._items)) for i in order)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -451,25 +480,32 @@ def soft_update(online: QNetParameters, target: QNetParameters, tau: float) -> N
 # -- interaction plumbing ----------------------------------------------
 
 
+def unseen_items(items: np.ndarray, recommended: np.ndarray) -> np.ndarray:
+    """`items` as int64, in order, without the `recommended` ids."""
+    items = np.asarray(items, np.int64)
+    keep = np.ones(int(items.max(initial=-1)) + 1, dtype=bool)
+    keep[recommended[(recommended >= 0) & (recommended < keep.size)]] = False
+    return items[keep[items]]
+
+
 def build_candidates(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
-                     clicked: Sequence[int], recommended: set) -> np.ndarray:
-    """Candidate item ids (int64) for the next step; falls back to the unseen catalog.
+                     clicked: Sequence[int], recommended: Collection[int]
+                     ) -> tuple[np.ndarray, bool]:
+    """Candidate item ids (int64) for the next step, and whether they are
+    the catalog fallback.
 
     With candidate selection on and a non-empty click history, the k-hop
     linked-item set (minus already recommended) is used; when that comes
     back empty, or selection is off, every unseen item is offered, in
-    `env.items` order.
+    `env.items` order (unseen_items).
     """
     if cfg.candidate_selection and graph is not None and clicked:
         seeds = [graph.item_to_entity[i] for i in clicked]
         max_size = cfg.candidate_size if cfg.candidate_size is not None else len(env.items)
         cs = candidate_items(graph, seeds, cfg.hops, max_size, exclude=recommended)
         if cs:
-            return np.array(cs.items, dtype=np.int64)
-    items = np.asarray(env.items, np.int64)
-    keep = np.ones(int(items.max(initial=-1)) + 1, dtype=bool)
-    keep[[i for i in recommended if 0 <= i < keep.size]] = False
-    return items[keep[items]]
+            return np.array(cs.items, dtype=np.int64), False
+    return unseen_items(env.items, np.fromiter(recommended, np.int64, len(recommended))), True
 
 
 def epsilon_at(interactions: int, cfg: TrainConfig) -> float:
@@ -552,11 +588,13 @@ def _episodes(params: AgentParameters | None, env: Environment, graph: Knowledge
     def offer(state) -> np.ndarray | None:
         """The state's transition; its candidates when Q picks the next item."""
         record, clicked = state.records[-1], tuple(state.clicked)
-        candidates = (np.empty(0, np.int64) if state.done else
-                      build_candidates(env, graph, cfg, state.clicked, state.recommended))
+        candidates, fallback = ((np.empty(0, np.int64), False) if state.done else
+                                build_candidates(env, graph, cfg, state.clicked,
+                                                 state.recommended))
         if buffer is not None:  # a hit appended its item to the clicks
             buffer.add(Experience(clicked[:-1] if record.hit else clicked, record.item,
-                                  record.reward, clicked, candidates, state.done))
+                                  record.reward, clicked, candidates, state.done),
+                       env.items if fallback else None, state.recommended)
         if state.done:
             return None
         if params is None or (epsilon > 0.0 and rng.random() < epsilon):
@@ -738,6 +776,9 @@ def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
     meta carries config_hash, interactions and version."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
+        unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
         cfg = TrainConfig(**meta["config"])
         base = Tensor(data["base"], requires_grad=bool(meta["base_trainable"]))
         gcn = None

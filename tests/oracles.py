@@ -2,7 +2,8 @@
 
 The exact forms here (the set BFS of candidate selection, the per-rating
 simulator fit, the `np.add.at` TransE scatter, the `np.isin` catalog
-fallback and the per-op taped GRU fold) are what a faster function in
+fallback, the per-op taped GRU fold and the replay that keeps every
+candidate array) are what a faster or smaller function in
 `kgrec` must reproduce bit for bit, on random inputs and on whole
 training runs. The per-state forms of inference (a one-state GRU step,
 the allocating scorer of one candidate set, the per-sample double-Q
@@ -226,6 +227,32 @@ def catalog_fallback_isin(items, recommended):
     return np.asarray(items, np.int64)[~np.isin(items, np.fromiter(recommended, np.int64))]
 
 
+class ReplayBufferArrays:
+    """`kgrec.agent.ReplayBuffer` keeping every transition as given, its
+    catalog-fallback candidate sets as whole arrays; `add` takes the same
+    arguments and ignores the fallback's catalog and shown ids."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._items = []
+        self._cursor = 0
+
+    def add(self, exp, catalog=None, recommended=()):
+        if len(self._items) < self.capacity:
+            self._items.append(exp)
+        else:
+            self._items[self._cursor] = exp
+            self._cursor = (self._cursor + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        k = min(batch_size, len(self._items))
+        idx = rng.choice(len(self._items), size=k, replace=False)
+        return [self._items[i] for i in idx]
+
+    def __len__(self):
+        return len(self._items)
+
+
 def epsilon_greedy(items, q_values, epsilon, rng):
     """Greedy with ties broken by lowest item id; explore uniformly w.p. epsilon."""
     if len(items) == 0:
@@ -261,7 +288,7 @@ def episode_per_state(params, env, graph, cfg, user, epsilon=0.0, rng=None):
             hidden = gru_step_vec(params.gru, hidden, matrix[params.source.rows([record.item])[0]])
         if state.done:
             return state.records, gaps
-        candidates = build_candidates(env, graph, cfg, state.clicked, state.recommended)
+        candidates, _ = build_candidates(env, graph, cfg, state.clicked, state.recommended)
         q = score_candidates_alloc(params.qnet, hidden, matrix[params.source.rows(candidates)],
                                    cfg.advantage_center)
         top = np.sort(q)[::-1]

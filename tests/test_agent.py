@@ -1,7 +1,10 @@
 """Agent tests: dueling heads, double-Q targets, replay, schedules,
 variant wiring, training smoke runs and checkpoint round trips."""
 
+import gc
+import json
 import os
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -38,6 +41,7 @@ from kgrec.agent import (
     soft_update,
     td_loss,
     train,
+    unseen_items,
     variant_flags,
 )
 from kgrec.autodiff import Tape, Tensor
@@ -47,10 +51,10 @@ from kgrec.graph import build_graph
 from kgrec.simulator import fit_mf
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
-from oracles import (candidate_items_bfs, catalog_fallback_isin, compute_targets_per_sample,
-                     double_q_targets, episode_per_state, epsilon_greedy, fit_mf_loop,
-                     encode_rows_taped, fold_history_np, q_value, score_candidates_alloc,
-                     select_action, transe_loss_and_grads_add_at)
+from oracles import (ReplayBufferArrays, candidate_items_bfs, catalog_fallback_isin,
+                     compute_targets_per_sample, double_q_targets, episode_per_state,
+                     epsilon_greedy, fit_mf_loop, encode_rows_taped, fold_history_np, q_value,
+                     score_candidates_alloc, select_action, transe_loss_and_grads_add_at)
 
 
 def _qnet(rng, dim, hidden=5, value_input="state"):
@@ -324,10 +328,12 @@ def test_replay_ring_overwrites_oldest():
     for k in range(5):
         buf.add(_exp(k))
     assert len(buf) == 3
+    assert [e.action for e in buf] == [2, 3, 4]  # oldest first
     rng = np.random.default_rng(0)
     got = {e.action for e in buf.sample(10, rng)}
     assert got == {2, 3, 4}
     buf.add(_exp(5))
+    assert [e.action for e in buf] == [3, 4, 5]
     got = {e.action for e in buf.sample(10, rng)}
     assert got == {3, 4, 5}
 
@@ -350,6 +356,64 @@ def test_experience_compares_and_hashes_by_identity():
     assert a == a and a != b
     assert [a, b].index(b) == 1 and b in [a, b]
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def _transition_bytes(e):
+    return (e.observation, e.action, np.float64(e.reward).tobytes(), e.next_observation,
+            e.next_candidates.dtype.str, e.next_candidates.tobytes(), e.terminal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["full", "no-cs", "mf-base"]),
+       capacity=st.integers(1, 40), episodes=st.integers(1, 12),
+       epsilon=st.sampled_from([0.0, 0.5, 1.0]), batch_size=st.integers(1, 50))
+def test_replay_samples_match_the_array_buffer(seed, variant, capacity, episodes, epsilon,
+                                               batch_size):
+    env = _tiny_world()
+    kg, gcn, cs = variant_flags(variant)
+    graph = _ring_graph(8) if kg else None
+    cfg = _cfg(kg_embeddings=kg, gcn_propagation=gcn, candidate_selection=cs,
+               candidate_size=2)
+    params, _ = initialize_parameters(env, graph, cfg, seed=1)
+    compact, arrays = ReplayBuffer(capacity), ReplayBufferArrays(capacity)
+    for buf in (compact, arrays):  # the same episodes, wrapping the ring when longer
+        rng = np.random.default_rng(seed)
+        for k in range(episodes):
+            user = int(env.train_users[k % len(env.train_users)])
+            run_training_episode(params, env, graph, cfg, user, epsilon, rng, buf)
+    assert len(compact) == len(arrays) == min(capacity, episodes * cfg.horizon)
+    rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(3):
+        got, want = compact.sample(batch_size, rng_a), arrays.sample(batch_size, rng_b)
+        assert [_transition_bytes(e) for e in got] == [_transition_bytes(e) for e in want]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_replay_memory_does_not_grow_with_the_catalog():
+    n_items, horizon = 1000, 16
+    env = _tiny_world(horizon=horizon, n_items=n_items)
+    graph = _ring_graph(n_items)
+    cfg = _cfg(candidate_selection=False, horizon=horizon)
+    params, _ = initialize_parameters(env, graph, cfg, seed=1)
+    rng = np.random.default_rng(0)
+    run_training_episode(params, env, graph, cfg, 0, 0.5, rng, ReplayBuffer(1))  # warm caches
+    held = {}
+    for make in (ReplayBuffer, ReplayBufferArrays):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            buf = make(1000)
+            for user in np.tile(env.train_users, 4):
+                run_training_episode(params, env, graph, cfg, int(user), 0.5, rng, buf)
+            gc.collect()
+            held[make] = (tracemalloc.get_traced_memory()[0] - before) / len(buf)
+        finally:
+            tracemalloc.stop()
+        del buf
+    # every set fell back to the catalog: about 8 B per catalog item each when kept whole
+    assert held[ReplayBufferArrays] > 6 * n_items
+    assert held[ReplayBuffer] < 1024
 
 
 def test_replay_validation():
@@ -496,22 +560,24 @@ def test_build_candidates_khop_and_fallback():
     graph = _ring_graph(8)
     cfg = _cfg(hops=1, candidate_size=10)
     # no clicks yet: full unseen catalog, sorted
-    assert np.array_equal(build_candidates(env, graph, cfg, [], set()), np.arange(8))
-    assert np.array_equal(build_candidates(env, graph, cfg, [], {2, 5}), [0, 1, 3, 4, 6, 7])
+    got, fallback = build_candidates(env, graph, cfg, [], set())
+    assert fallback and np.array_equal(got, np.arange(8))
+    got, fallback = build_candidates(env, graph, cfg, [], {2, 5})
+    assert fallback and np.array_equal(got, [0, 1, 3, 4, 6, 7])
     # one click on item 0: the ring offers exactly its 1-hop successor
-    linked = build_candidates(env, graph, cfg, [0], set())
-    assert linked.dtype == np.int64 and np.array_equal(linked, [1])
+    linked, fallback = build_candidates(env, graph, cfg, [0], set())
+    assert not fallback and linked.dtype == np.int64 and np.array_equal(linked, [1])
     # everything the graph reaches is already shown -> catalog fallback
-    got = build_candidates(env, graph, cfg, [0], {1})
-    assert np.array_equal(got, [0, 2, 3, 4, 5, 6, 7])
+    got, fallback = build_candidates(env, graph, cfg, [0], {1})
+    assert fallback and np.array_equal(got, [0, 2, 3, 4, 5, 6, 7])
 
 
 def test_build_candidates_truncation_and_unbounded():
     env = _tiny_world()
     graph = _ring_graph(8)
-    by_hops = build_candidates(env, graph, _cfg(hops=3, candidate_size=2), [0], set())
+    by_hops, _ = build_candidates(env, graph, _cfg(hops=3, candidate_size=2), [0], set())
     assert np.array_equal(by_hops, [1, 2])  # nearer hops win the cut
-    unbounded = build_candidates(env, graph, _cfg(hops=3, candidate_size=None), [0], set())
+    unbounded, _ = build_candidates(env, graph, _cfg(hops=3, candidate_size=None), [0], set())
     assert np.array_equal(unbounded, [1, 2, 3])
 
 
@@ -519,21 +585,22 @@ def test_build_candidates_selection_off_uses_catalog():
     env = _tiny_world()
     graph = _ring_graph(8)
     cfg = _cfg(candidate_selection=False)
-    assert np.array_equal(build_candidates(env, graph, cfg, [0], {0}), np.arange(1, 8))
+    got, fallback = build_candidates(env, graph, cfg, [0], {0})
+    assert fallback and np.array_equal(got, np.arange(1, 8))
 
 
 def test_catalog_fallback_is_items_order_array():
     env = _tiny_world()
     env.items = np.array([1005, 1000, 1007, 1003, 1001, 1006, 1002, 1004], dtype=np.int32)
     cfg = _cfg(candidate_selection=False)
-    got = build_candidates(env, None, cfg, [], {1003, 1007, 99})
+    got, _ = build_candidates(env, None, cfg, [], {1003, 1007, 99})
     assert got.dtype == np.int64 and got.ndim == 1
     assert got.tolist() == [1005, 1000, 1001, 1006, 1002, 1004]  # `env.items` order
-    everything = build_candidates(env, None, cfg, [], set())
+    everything, _ = build_candidates(env, None, cfg, [], set())
     assert everything.dtype == np.int64 and everything.tolist() == env.items.tolist()
-    assert build_candidates(env, None, cfg, [], set(env.items.tolist())).size == 0
+    assert build_candidates(env, None, cfg, [], set(env.items.tolist()))[0].size == 0
     env.items = np.arange(4)  # a new items array is picked up
-    assert np.array_equal(build_candidates(env, None, cfg, [], {2}), [0, 1, 3])
+    assert np.array_equal(build_candidates(env, None, cfg, [], {2})[0], [0, 1, 3])
 
 
 @settings(max_examples=200, deadline=None)
@@ -542,9 +609,12 @@ def test_catalog_fallback_is_items_order_array():
 def test_catalog_fallback_matches_isin_form(items, shown, dtype):
     env = _tiny_world()
     env.items = np.array(items, dtype=dtype)
-    got = build_candidates(env, None, _cfg(candidate_selection=False), [], shown)
+    got, fallback = build_candidates(env, None, _cfg(candidate_selection=False), [], shown)
     want = catalog_fallback_isin(env.items, shown)
-    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert fallback and got.dtype == np.int64 and got.tolist() == want.tolist()
+    # the replay's rebuild from the shown ids as an array
+    again = unseen_items(env.items, np.array(sorted(shown), dtype=np.int64))
+    assert again.dtype == np.int64 and again.tobytes() == got.tobytes()
 
 
 # -- targets and loss ----------------------------------------------------
@@ -812,7 +882,7 @@ def test_training_episode_fills_buffer_with_chained_transitions(epsilon, with_gr
                                    rng=np.random.default_rng(2), buffer=buf)
     assert len(records) == cfg.horizon
     assert len(buf) == cfg.horizon
-    batch = buf._items
+    batch = list(buf)
     assert batch[0].observation == ()
     assert batch[0].action == int(env.popularity[0])
     actions = [e.action for e in batch]
@@ -1110,3 +1180,56 @@ def test_checkpoint_round_trip_without_graph(tmp_path):
     assert meta["gcn_layers"] == 0
     assert loaded.source.gcn is None
     assert np.array_equal(loaded.source.base.data, params.source.base.data)
+
+
+def test_checkpoint_names_unknown_config_keys(tmp_path):
+    env = _tiny_world()
+    cfg = _mf_cfg()
+    params, target = initialize_parameters(env, None, cfg, seed=2)
+    path = str(tmp_path / "mf.npz")
+    save_checkpoint(path, params, target, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"].update(dropout=0.5, beta=1)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert path in str(err.value) and "beta, dropout" in str(err.value)
+
+
+def _checkpoint_arrays(params, target):
+    source = params.source
+    tensors = [source.base, *(source.gcn.tensors() if source.gcn else ()),
+               *params.gru.tensors(), *params.qnet.tensors(), *target.tensors()]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in
+             [source.row_of_item] + [t.data for t in tensors]],
+            [t.requires_grad for t in tensors])
+
+
+@settings(max_examples=15, deadline=None)
+@given(variant=st.sampled_from(["full", "no-cs", "mf-base"]),
+       value_input=st.sampled_from(["state", "item"]), hops=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_property(tmp_path_factory, variant, value_input, hops, seed):
+    env = _tiny_world()
+    kg, gcn, cs = variant_flags(variant)
+    graph = _ring_graph(8) if kg else None
+    cfg = _cfg(kg_embeddings=kg, gcn_propagation=gcn, candidate_selection=cs,
+               value_input=value_input, hops=hops)
+    params, target = initialize_parameters(env, graph, cfg, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    for t in params.trainable() + target.tensors():  # off the initial values
+        t.data = t.data + rng.standard_normal(t.data.shape) * 0.3
+    params.version = int(rng.integers(0, 10_000))
+    path = str(tmp_path_factory.mktemp("ckpt") / "agent.npz")
+    save_checkpoint(path, params, target, cfg, config_hash="h", interactions=77)
+    loaded, ltarget, lcfg, meta = load_checkpoint(path, graph=graph)
+    assert _checkpoint_arrays(loaded, ltarget) == _checkpoint_arrays(params, target)
+    assert lcfg == cfg
+    assert meta == {"config": asdict(cfg), "config_hash": "h", "interactions": 77,
+                    "version": params.version, "gcn_layers": hops if gcn else 0,
+                    "base_trainable": gcn or not kg}
+    assert (evaluate_policy(loaded, env, graph, lcfg)
+            == evaluate_policy(params, env, graph, cfg))
