@@ -504,7 +504,7 @@ def build_candidates(env: Environment, graph: KnowledgeGraph | None, cfg: TrainC
         max_size = cfg.candidate_size if cfg.candidate_size is not None else len(env.items)
         cs = candidate_items(graph, seeds, cfg.hops, max_size, exclude=recommended)
         if cs:
-            return np.array(cs.items, dtype=np.int64), False
+            return cs.items, False
     return unseen_items(env.items, np.fromiter(recommended, np.int64, len(recommended))), True
 
 
@@ -540,9 +540,8 @@ def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: T
         entities, _, _ = transe_pretrain(graph, cfg.transe_config(), s_pre)
         base = Tensor(entities, requires_grad=cfg.gcn_propagation)
         row_of = np.full(n_slots, -1, dtype=np.int64)
-        for item, entity in graph.item_to_entity.items():
-            if 0 <= int(item) < n_slots:
-                row_of[int(item)] = entity
+        in_range = (graph.linked_items >= 0) & (graph.linked_items < n_slots)
+        row_of[graph.linked_items[in_range]] = graph.linked_entities[in_range]
         if np.any(row_of[env.items] < 0):
             raise ValueError("action universe contains items without a KG link")
         gcn = GcnParameters.init(d, cfg.hops, rng) if cfg.gcn_propagation else None

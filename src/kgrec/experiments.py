@@ -69,6 +69,9 @@ class ExperimentConfig(TrainSettings):
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.seeds:
             raise ValueError("need at least one run seed")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ValueError(f"seeds repeat {repeated}: each seed has one run directory")
         for name, low in (("min_user_interactions", 0), ("sim_dim", 1), ("sim_epochs", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -116,6 +119,9 @@ def parse_sizes(text: str) -> list[int | None]:
     sizes = [_parse_size(tok) for tok in str(text).split(",") if tok.strip()]
     if not sizes:
         raise ValueError("empty candidate size list")
+    repeated = sorted({"all" if s is None else str(s) for s in sizes if sizes.count(s) > 1})
+    if repeated:
+        raise ValueError(f"candidate sizes repeat {repeated}: each size has one run directory")
     return sizes
 
 
@@ -152,7 +158,6 @@ class Dataset:
     n_users: int
     n_items: int
     graph: KnowledgeGraph | None
-    linked_items: np.ndarray
     unlinked_count: int
     user_tokens: list[str]
     item_tokens: list[str]
@@ -206,7 +211,6 @@ def ingest(config: ExperimentConfig) -> Dataset:
         ratings.append(rating)
 
     graph = None
-    linked = np.empty(0, dtype=np.int64)
     unlinked_count = len(item_ids)
     if config.triples and config.links:
         triples = read_triples(config.triples)
@@ -218,7 +222,6 @@ def ingest(config: ExperimentConfig) -> Dataset:
             else:
                 links[dense] = ent_tok
         graph = build_graph(triples, links)
-        linked = np.asarray(sorted(links), dtype=np.int64)
         unlinked_count = len(item_ids) - len(links)
         if unlinked_count:
             logger.warning("%d of %d items have no graph link; they stay in the catalog "
@@ -228,7 +231,7 @@ def ingest(config: ExperimentConfig) -> Dataset:
                    items=np.asarray(items, dtype=np.int64),
                    ratings=np.asarray(ratings, dtype=np.float64),
                    n_users=len(user_ids), n_items=len(item_ids), graph=graph,
-                   linked_items=linked, unlinked_count=unlinked_count,
+                   unlinked_count=unlinked_count,
                    user_tokens=list(user_ids), item_tokens=list(item_ids))
 
 
@@ -255,7 +258,7 @@ def build_environment(ds: Dataset, config: ExperimentConfig) -> Environment:
                    rating_min=config.rating_min, rating_max=config.rating_max,
                    hit_threshold=config.hit_threshold, eta=config.eta, horizon=config.horizon)
     catalog = np.arange(ds.n_items)
-    universe = ds.linked_items if config.kg_embeddings else catalog
+    universe = ds.graph.linked_items if config.kg_embeddings else catalog
     if len(universe) < config.horizon:
         raise ValueError(f"action universe has {len(universe)} items; "
                          f"episodes need at least horizon={config.horizon}")

@@ -16,19 +16,16 @@ import scipy.sparse as sparse
 from .textio import read_tsv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Ordered candidate items with the hop each was first discovered at."""
+    """Candidate `items` in order, an array of `KnowledgeGraph.linked_items`'
+    dtype, and `hops`, the aligned integer array of first-discovery hops."""
 
-    items: tuple
-    hops: tuple[int, ...]
-    seeds: frozenset
+    items: np.ndarray
+    hops: np.ndarray
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
 
 
 class KnowledgeGraph:
@@ -38,6 +35,10 @@ class KnowledgeGraph:
         n_entities, n_relations, n_triples: counts after deduplication.
         item_to_entity: injective map item id -> entity id.
         entity_to_item: the inverse map.
+        linked_items: the linked items, ascending (empty int64 without links).
+        linked_entities: the entity of each of `linked_items`.
+        mean_adjacency: row-stochastic neighbor-mean operator (CSR); rows
+            without neighbors are zero.
     """
 
     def __init__(self, triples: np.ndarray, n_entities: int, n_relations: int,
@@ -61,28 +62,31 @@ class KnowledgeGraph:
         self.entity_tokens = entity_tokens
         self.relation_tokens = relation_tokens
 
-        seen_entities = set()
         self.item_to_entity = dict(item_to_entity)
+        self.entity_to_item = {}
         for item, ent in self.item_to_entity.items():
             if not (0 <= ent < n_entities):
                 raise ValueError(f"link for item {item!r} points at unknown entity id {ent}")
-            if ent in seen_entities:
+            if self.entity_to_item.setdefault(ent, item) is not item:
                 raise ValueError(f"link map not injective: entity {ent} linked from two items")
-            seen_entities.add(ent)
-        self.entity_to_item = {e: i for i, e in self.item_to_entity.items()}
 
-        succ: list[np.ndarray] = []
-        order = np.argsort(triples[:, 0], kind="stable")
-        heads = triples[order, 0]
-        tails = triples[order, 2]
-        bounds = np.searchsorted(heads, np.arange(n_entities + 1))
-        for h in range(n_entities):
-            t = np.unique(tails[bounds[h]:bounds[h + 1]])
-            t.setflags(write=False)
-            succ.append(t)
-        self._succ = succ
-        self._mean_adjacency = None
-        self._linked: tuple[tuple, np.ndarray] | None = None
+        # the CSR successor table, over the distinct keys head * n_entities + tail
+        pairs = np.unique(triples[:, 0] * self.n_entities + triples[:, 2])
+        heads, self._tails = np.divmod(pairs, self.n_entities)
+        self._tails.setflags(write=False)
+        self._indptr = np.searchsorted(heads, np.arange(self.n_entities + 1))
+        self.mean_adjacency = sparse.csr_matrix(
+            (1.0 / np.diff(self._indptr)[heads], self._tails, self._indptr),
+            shape=(self.n_entities, self.n_entities))
+
+        items = sorted(self.item_to_entity)
+        self.linked_items = np.array(items) if items else np.empty(0, dtype=np.int64)
+        self.linked_items.setflags(write=False)  # the action universe may share it
+        self.linked_entities = np.fromiter((self.item_to_entity[i] for i in items),
+                                           dtype=np.int64, count=len(items))
+        # each entity's column in linked_items, -1 for entities without an item
+        self._column = np.full(self.n_entities, -1, dtype=np.int64)
+        self._column[self.linked_entities] = np.arange(len(items))
         self._hop_rows: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -90,51 +94,23 @@ class KnowledgeGraph:
         return int(self.triples.shape[0])
 
     def neighbors(self, entity: int) -> np.ndarray:
-        """Distinct tail entities over all relations, ascending id."""
+        """Distinct tail entities over all relations, ascending id (read-only)."""
         if not (0 <= entity < self.n_entities):
             raise IndexError(f"entity {entity} out of range (n_entities={self.n_entities})")
-        return self._succ[entity]
-
-    @property
-    def mean_adjacency(self) -> sparse.csr_matrix:
-        """Row-stochastic neighbor-mean operator; rows without neighbors are zero."""
-        if self._mean_adjacency is None:
-            rows, cols, vals = [], [], []
-            for h in range(self.n_entities):
-                t = self._succ[h]
-                if t.size:
-                    rows.extend([h] * t.size)
-                    cols.extend(t.tolist())
-                    vals.extend([1.0 / t.size] * t.size)
-            self._mean_adjacency = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.n_entities, self.n_entities))
-        return self._mean_adjacency
-
-    def _linked_items(self) -> tuple[tuple, np.ndarray]:
-        """Linked items in ascending id order, and each entity's column in
-        that order (-1 for entities without an item); built on first use."""
-        if self._linked is None:
-            items = tuple(sorted(self.item_to_entity))
-            column = np.full(self.n_entities, -1, dtype=np.int64)
-            entities = np.fromiter((self.item_to_entity[i] for i in items), dtype=np.int64,
-                                   count=len(items))
-            column[entities] = np.arange(len(items))
-            self._linked = (items, column)
-        return self._linked
+        return self._tails[self._indptr[entity]:self._indptr[entity + 1]]
 
     def item_hop_row(self, entity: int, k: int) -> np.ndarray:
         """First hop (1..k) at which `k_hop_sets({entity}, k)` reaches each
-        linked item, over the columns of `_linked_items`; k + 1 where it
+        linked item, over the columns of `linked_items`; k + 1 where it
         does not. Built on first use and cached read-only: the graph never
         changes, so a row never goes stale."""
         key = (entity, k)
         row = self._hop_rows.get(key)
         if row is None:
-            items, column = self._linked_items()
-            row = np.full(len(items), k + 1, dtype=np.min_scalar_type(k + 1))
+            row = np.full(len(self.linked_items), k + 1, dtype=np.min_scalar_type(k + 1))
             # deepest layer first, so a nearer hop overwrites a farther one
             for hop, layer in reversed(list(enumerate(k_hop_sets(self, {entity}, k), start=1))):
-                cols = column[np.fromiter(layer, dtype=np.int64, count=len(layer))]
+                cols = self._column[np.fromiter(layer, dtype=np.int64, count=len(layer))]
                 row[cols[cols >= 0]] = hop
             row.setflags(write=False)
             self._hop_rows[key] = row
@@ -241,15 +217,12 @@ def candidate_items(g: KnowledgeGraph, seeds: Iterable[int], k: int, max_size: i
     if max_size < 1:
         raise ValueError(f"candidate_items: max_size must be >= 1, got {max_size}")
     seeds = _expansion_seeds(g, seeds, k)
-    items, column = g._linked_items()
     hop = np.minimum.reduce([g.item_hop_row(s, k) for s in seeds])
     for item in exclude:
         ent = g.item_to_entity.get(item)
         if ent is not None:
-            hop[column[ent]] = k + 1
+            hop[g._column[ent]] = k + 1
     cols = np.flatnonzero(hop <= k)
     # columns ascend by item id, so a stable sort by hop gives (hop, id) order
     cols = cols[np.argsort(hop[cols], kind="stable")][:max_size]
-    return CandidateSet(items=tuple(items[c] for c in cols.tolist()),
-                        hops=tuple(hop[cols].tolist()),
-                        seeds=frozenset(seeds))
+    return CandidateSet(items=g.linked_items[cols], hops=hop[cols])

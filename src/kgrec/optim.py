@@ -9,6 +9,11 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# the moment decay rates and the denominator guard of Kingma & Ba (2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -19,9 +24,6 @@ class AdamState:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     moments: dict[Tensor, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -44,13 +46,12 @@ def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], stat
             raise ValueError("adam_step: non-finite gradient, update rejected")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
     for p in params:
         g = np.asarray(grads[p], dtype=np.float64)
         m, v = state.moments.get(p, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         state.moments[p] = (m, v)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)

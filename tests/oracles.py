@@ -1,9 +1,10 @@
 """Straightforward reference forms of the package's batched and cached paths.
 
-The exact forms here (the set BFS of candidate selection, the per-rating
-simulator fit, the `np.add.at` TransE scatter, the `np.isin` catalog
-fallback, the per-op taped GRU fold and the replay that keeps every
-candidate array) are what a faster or smaller function in
+The exact forms here (the per-entity successor lists and the COO-built
+neighbor-mean operator of the graph, the set BFS of candidate selection,
+the per-rating simulator fit, the `np.add.at` TransE scatter, the
+`np.isin` catalog fallback, the per-op taped GRU fold and the replay that
+keeps every candidate array) are what a faster or smaller function in
 `kgrec` must reproduce bit for bit, on random inputs and on whole
 training runs. The per-state forms of inference (a one-state GRU step,
 the allocating scorer of one candidate set, the per-sample double-Q
@@ -17,6 +18,7 @@ single action pick, the simulator's batch MF loss and a curve CSV reader.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 from kgrec.agent import CurvePoint, build_candidates, q_rows
 from kgrec.autodiff import Tensor, sigmoid
@@ -89,6 +91,29 @@ def item_embedding_np(g, item, gcn, base):
     return emb(int(g.item_to_entity[item]), gcn.hops)
 
 
+def successors_loop(triples, n_entities):
+    """Each entity's distinct tail entities, ascending, by one `np.unique`
+    per entity over the head-sorted (head, relation, tail) rows."""
+    triples = np.asarray(triples, dtype=np.int64)
+    order = np.argsort(triples[:, 0], kind="stable")
+    heads = triples[order, 0]
+    tails = triples[order, 2]
+    bounds = np.searchsorted(heads, np.arange(n_entities + 1))
+    return [np.unique(tails[bounds[h]:bounds[h + 1]]) for h in range(n_entities)]
+
+
+def mean_adjacency_coo(succ):
+    """`KnowledgeGraph.mean_adjacency` built from COO lists of the
+    `successors_loop` rows, each neighbor weighted 1 / degree."""
+    rows, cols, vals = [], [], []
+    for h, t in enumerate(succ):
+        if t.size:
+            rows.extend([h] * t.size)
+            cols.extend(t.tolist())
+            vals.extend([1.0 / t.size] * t.size)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(succ), len(succ)))
+
+
 def candidate_items_bfs(g, seeds, k, max_size, exclude=()):
     """`kgrec.graph.candidate_items` as a fresh set BFS from the seeds."""
     if max_size < 1:
@@ -108,9 +133,8 @@ def candidate_items_bfs(g, seeds, k, max_size, exclude=()):
             ranked.append((hop, item))
     ranked.sort()
     ranked = ranked[:max_size]
-    return CandidateSet(items=tuple(it for _, it in ranked),
-                        hops=tuple(h for h, _ in ranked),
-                        seeds=frozenset(seeds))
+    return CandidateSet(items=np.array([it for _, it in ranked], dtype=g.linked_items.dtype),
+                        hops=np.array([h for h, _ in ranked], dtype=np.int64))
 
 
 def _mlp_alloc(mlp, x):

@@ -269,6 +269,10 @@ def test_parse_sizes_tokens():
         parse_sizes("5,0")
     with pytest.raises(ValueError):
         parse_sizes("-3")
+    with pytest.raises(ValueError, match=r"repeat \['5'\]"):
+        parse_sizes("5,10,5")
+    with pytest.raises(ValueError, match=r"repeat \['all'\]"):
+        parse_sizes("all, 5 ,all")
 
 
 def test_validate_catches_semantic_errors(world, tmp_path):
@@ -282,6 +286,9 @@ def test_validate_catches_semantic_errors(world, tmp_path):
         dict(simulator_fit_scope="test"),
         dict(train_fraction=1.0),
         dict(seeds=""),
+        dict(seeds="0,0,1"),
+        dict(candidate_sizes="5,5,all"),
+        dict(candidate_sizes="all,5,all"),
         dict(candidate_size=0),
         dict(budget=0),
         dict(min_user_interactions=-1),
@@ -409,7 +416,7 @@ def test_ingest_keeps_unlinked_items_with_warning(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="kgrec.experiments"):
         ds = ingest(cfg)
     assert ds.n_items == 2
-    assert np.array_equal(ds.linked_items, [0])  # only item 'a'
+    assert np.array_equal(ds.graph.linked_items, [0])  # only item 'a'
     assert ds.unlinked_count == 1
     assert "no graph link" in caplog.text
     assert "ghost" in caplog.text  # links for unseen items are ignored, loudly
@@ -463,7 +470,7 @@ def test_build_environment_splits_and_scopes(world, tmp_path):
     assert len(env.test_users) == 3
     assert set(env.train_users.tolist()).isdisjoint(env.test_users.tolist())
     assert np.array_equal(np.asarray(env.catalog), np.arange(12))
-    assert np.array_equal(np.sort(env.items), ds.linked_items)
+    assert np.array_equal(np.sort(env.items), ds.graph.linked_items)
     assert set(env.popularity.tolist()) == set(env.items.tolist())
     # same config -> same split
     env2 = build_environment(ds, cfg)

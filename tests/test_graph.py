@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgrec.graph import (CandidateSet, KnowledgeGraph, build_graph, candidate_items,
                          k_hop_sets, load_graph)
-from oracles import candidate_items_bfs
+from oracles import candidate_items_bfs, mean_adjacency_coo, successors_loop
 
 
 def _random_graph(rng, max_entities=200):
@@ -86,7 +86,6 @@ def test_candidate_items_match_oracle():
         want = want[:max_size]
         assert list(got.items) == [it for _, it in want], f"trial {trial}"
         assert list(got.hops) == [h for h, _ in want], f"trial {trial}"
-        assert got.seeds == frozenset(seeds)
 
 
 @st.composite
@@ -115,7 +114,7 @@ def _outcome(fn, *args, **kwargs):
         cs = fn(*args, **kwargs)
     except (ValueError, IndexError) as err:
         return type(err), str(err)
-    return repr(cs.items), repr(cs.hops), cs.seeds
+    return cs.items.dtype, cs.items.tolist(), cs.hops.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,9 +135,9 @@ def test_cached_candidate_items_match_bfs_oracle(query):
 
 
 def test_candidate_set_truthiness_and_len():
-    empty = CandidateSet(items=(), hops=(), seeds=frozenset({0}))
+    empty = CandidateSet(items=np.empty(0, dtype=np.int64), hops=np.empty(0, dtype=np.uint8))
     assert not empty and len(empty) == 0
-    one = CandidateSet(items=(5,), hops=(1,), seeds=frozenset({0}))
+    one = CandidateSet(items=np.array([5]), hops=np.array([1], dtype=np.uint8))
     assert one and len(one) == 1
 
 
@@ -179,6 +178,54 @@ def test_mean_adjacency_rows():
                     assert abs(row[t] - 1.0 / len(succ[h])) < 1e-12
             else:
                 assert not row.any()
+
+
+@st.composite
+def _structure_graphs(draw):
+    """Random triples whose (head, tail) pairs repeat across relations, whose
+    last entity may have no successors, with no links, int items or string
+    items."""
+    n_ent = draw(st.integers(1, 25))
+    n_rel = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(0, n_ent - 2)), st.integers(0, n_ent - 1)),
+                          min_size=1, max_size=3 * n_ent))
+    triples = [(h, r, t) for h, t in pairs
+               for r in draw(st.sets(st.integers(0, n_rel - 1), min_size=1))]
+    linked = draw(st.lists(st.integers(0, n_ent - 1), unique=True, max_size=n_ent))
+    kind = draw(st.sampled_from(["none", "int", "str"]))
+    if kind == "none":
+        links = {}
+    elif kind == "int":
+        links = dict(zip(draw(st.lists(st.integers(0, 99), unique=True, min_size=len(linked),
+                                       max_size=len(linked))), linked))
+    else:
+        links = {f"i{e}": e for e in linked}
+    return np.array(triples), n_ent, n_rel, links
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structure_graphs(), st.integers(0, 2**32 - 1))
+def test_structure_matches_per_entity_oracle(graph, x_seed):
+    triples, n_ent, n_rel, links = graph
+    g = KnowledgeGraph(triples, n_ent, n_rel, links)
+    succ = successors_loop(triples, n_ent)
+    for ent in range(n_ent):
+        got = g.neighbors(ent)
+        assert got.dtype == succ[ent].dtype and np.array_equal(got, succ[ent])
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[...] = 0
+    want = mean_adjacency_coo(succ)
+    for name in ("indptr", "indices", "data"):
+        got_arr, want_arr = getattr(g.mean_adjacency, name), getattr(want, name)
+        assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+    x = np.random.default_rng(x_seed).standard_normal((n_ent, 3))
+    assert (g.mean_adjacency @ x).tobytes() == (want @ x).tobytes()
+    assert (g.mean_adjacency.T @ x).tobytes() == (want.T @ x).tobytes()
+    assert g.linked_items.tolist() == sorted(links)
+    assert g.linked_entities.tolist() == [links[i] for i in sorted(links)]
+    if not links:
+        assert g.linked_items.dtype == np.int64
 
 
 def test_constructor_validation():

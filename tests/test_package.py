@@ -1,6 +1,9 @@
 """The package's exported names and the per-layer demos still work."""
 
+import os
 import runpy
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,11 +12,23 @@ import pytest
 import kgrec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+# scipy subpackages `import kgrec` must not load: each costs resident memory
+# in every process (scipy.special alone about 5.7 MiB)
+HEAVY_SCIPY = ("scipy.special", "scipy.stats", "scipy.linalg", "scipy.sparse.linalg",
+               "scipy.sparse.csgraph")
 
 
 def test_every_exported_name_resolves():
     assert len(set(kgrec.__all__)) == len(kgrec.__all__)
     assert [name for name in kgrec.__all__ if not hasattr(kgrec, name)] == []
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    env = dict(os.environ, PYTHONPATH=str(Path(kgrec.__file__).resolve().parent.parent))
+    code = "import sys, kgrec; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                            capture_output=True, text=True).stdout.split()
+    assert [name for name in HEAVY_SCIPY if name in loaded] == []
 
 
 @pytest.mark.parametrize("demo", ["01_taped_gradients.py", "02_graph_candidates.py",
