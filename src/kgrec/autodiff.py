@@ -1,9 +1,10 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 The op set is what the training path uses: row-batched linear maps,
-products by a constant (sparse) adjacency, the elementwise functions of
-the GCN, GRU and Q heads, row gathering, column concatenation, reshapes
-and scalar reductions. There is no general broadcasting; shapes must
+the elementwise functions of the GRU and Q heads, row gathering, column
+concatenation, reshapes and scalar reductions. Fused computations (a GCN
+hop, the GRU fold) record themselves through `Tape.emit` with a
+hand-written backward. There is no general broadcasting; shapes must
 match exactly except where an op documents otherwise. Every tensor and
 op result must be finite.
 
@@ -108,12 +109,6 @@ class Tape:
         return t.requires_grad or id(t) in self._produced
 
     # -- ops ----------------------------------------------------------
-
-    def matmul_const(self, a_const, x: Tensor) -> Tensor:
-        """Product by a constant matrix (ndarray or scipy sparse); no gradient into the constant."""
-        out = a_const @ x.data
-        at = a_const.T
-        return self.emit("matmul_const", np.asarray(out), [(x, lambda g: np.asarray(at @ g))])
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         """x @ w.T (+ b) for x (rows, n), w (m, n) and b (m,)."""

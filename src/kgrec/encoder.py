@@ -1,12 +1,13 @@
 """Graph-convolutional item embeddings and the recurrent user-state network.
 
 The GCN is one whole-graph propagation (propagate_all), recorded once per
-parameter version and shared by inference and the TD loss. One GRU
-definition (gru_gates) steps batches of rows: inference steps all the
-states it holds at once (gru_step_np), and the TD loss folds the padded
-history rows of padded_rows as one tape record with a hand-written BPTT
-(encode_rows). The per-op taped fold and the per-state forms these are
-held to are in `tests/oracles.py`.
+parameter version and shared by inference and the TD loss. Each hop is one
+tape record that keeps only its output and recomputes the neighbor mean in
+its backward (gcn_hop). One GRU definition (gru_gates) steps batches of
+rows: inference steps all the states it holds at once (gru_step_np), and
+the TD loss folds the padded history rows of padded_rows as one tape
+record with a hand-written BPTT (encode_rows). The per-op taped hop and
+fold and the per-state forms these are held to are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -78,14 +79,38 @@ def propagate_all(g: KnowledgeGraph, base: Tensor, gcn: GcnParameters, tape: Tap
     """Final-hop embeddings for every entity at once.
 
     Each hop applies relu(neighbor-mean @ W.T + previous @ B.T), with a
-    zero aggregate for entities without successors.
+    zero aggregate for entities without successors, and is taped as one
+    record that keeps only the hop's output (gcn_hop).
     """
     out = base
-    adj = g.mean_adjacency
     for w, b in gcn.layers:
-        nbr = tape.matmul_const(adj, out)
-        out = tape.relu(tape.add(tape.linear(nbr, w), tape.linear(out, b)))
+        out = gcn_hop(g.mean_adjacency, out, w, b, tape)
     return out
+
+
+def gcn_hop(adj, x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
+    """relu(adj @ x @ W.T + x @ B.T) as one tape record holding only its output.
+
+    The forward runs and checks what the per-op taped hop in `tests/oracles.py`
+    does. The backward recomputes adj @ x and the relu mask (out > 0) and adds
+    the input's two pieces as that tape does: gs @ B + adj.T @ (gs @ W), gs the
+    masked output gradient. A hop's input feeds only the hop, so nothing lands
+    between the pieces and the bytes match.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    nbr = checked("gcn_hop", adj @ xd)
+    out = checked("gcn_hop", checked("gcn_hop", nbr @ wd.T) + checked("gcn_hop", xd @ bd.T))
+    out = np.where(out > 0.0, out, 0.0)
+    masked = []
+
+    def gs(g):  # the output gradient times the relu mask, formed at the first pull
+        if not masked:
+            masked.append(g * (out > 0.0))
+        return masked[0]
+
+    return tape.emit("gcn_hop", out, [(x, lambda g: gs(g) @ bd + adj.T @ (gs(g) @ wd)),
+                                      (w, lambda g: gs(g).T @ (adj @ xd)),
+                                      (b, lambda g: gs(g).T @ xd)])
 
 
 def gru_gates(p: GruParameters, h: np.ndarray, x: np.ndarray):

@@ -3,10 +3,10 @@
 The exact forms here (the per-entity successor lists and the COO-built
 neighbor-mean operator of the graph, the set BFS of candidate selection,
 the per-rating simulator fit, the `np.add.at` TransE scatter, the
-`np.isin` catalog fallback, the per-op taped GRU fold and the replay that
-keeps every candidate array) are what a faster or smaller function in
-`kgrec` must reproduce bit for bit, on random inputs and on whole
-training runs. The per-state forms of inference (a one-state GRU step,
+`np.isin` catalog fallback, the per-op taped GCN propagation and GRU
+fold, and the replay that keeps every candidate array) are what a faster
+or smaller function in `kgrec` must reproduce bit for bit, on random
+inputs and on whole training runs. The per-state forms of inference (a one-state GRU step,
 the allocating scorer of one candidate set, the per-sample double-Q
 rule, the epsilon-greedy pick and a per-user episode) are what the
 batched inference path is held to within a tolerance, since stacked
@@ -68,6 +68,24 @@ def q_value(state_vec, item_vec, qnet, tape):
     """`q_rows` on one (state, item) pair: the taped scalar V + A."""
     q = q_rows(tape.reshape(state_vec, (1, -1)), tape.reshape(item_vec, (1, -1)), qnet, tape)
     return tape.reshape(q, ())
+
+
+def matmul_const(tape, a_const, x):
+    """Taped product by a constant matrix (ndarray or scipy sparse); no
+    gradient into the constant."""
+    out = a_const @ x.data
+    at = a_const.T
+    return tape.emit("matmul_const", np.asarray(out), [(x, lambda g: np.asarray(at @ g))])
+
+
+def propagate_all_taped(g, base, gcn, tape):
+    """`kgrec.encoder.propagate_all` as five taped ops per hop: the
+    neighbor mean, two linear maps, their sum and the relu."""
+    out = base
+    for w, b in gcn.layers:
+        nbr = matmul_const(tape, g.mean_adjacency, out)
+        out = tape.relu(tape.add(tape.linear(nbr, w), tape.linear(out, b)))
+    return out
 
 
 def item_embedding_np(g, item, gcn, base):

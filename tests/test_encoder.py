@@ -1,5 +1,7 @@
 """Graph convolution and session GRU: parity, gradients, invariants."""
 
+import gc
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,7 +14,7 @@ from kgrec.encoder import (GcnParameters, GruParameters, encode_rows, gru_step_n
                            propagate_all)
 from kgrec.graph import KnowledgeGraph
 from oracles import (encode_rows_taped, fold_history_np, gru_step_rows, gru_step_vec,
-                     item_embedding_np)
+                     item_embedding_np, propagate_all_taped)
 
 TOL = 1e-5
 
@@ -304,6 +306,72 @@ def test_gcn_gradients_match_finite_differences():
             # relu kinks can pollute single entries; the shift above keeps
             # activations away from zero in practice
             assert rel_error(grads[t], want[t]) < 1e-4, f"trial {trial}"
+
+
+def _propagate_and_grads(propagate, g, base_data, gcn, weights, mode):
+    """The output, the gradients of a weighted sum of it for the base and
+    for every W and B, and the names of the records the propagation emits,
+    with the base a trainable leaf, an op output of the tape or frozen."""
+    tape = Tape()
+    base = Tensor(base_data, requires_grad=mode != "frozen")
+    x = tape.scale(base, 1.0) if mode == "produced" else base
+    with _recorded_pulls() as records:
+        out = propagate(g, x, gcn, tape)
+    grads = tape.backward(tape.sum(tape.mul_const(out, weights)), wrt=gcn.tensors())
+    return out.data, grads.get(base), [grads[t] for t in gcn.tensors()], [n for n, _ in records]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), hops=st.integers(1, 3), dim=st.integers(1, 5),
+       mode=st.sampled_from(["leaf", "produced", "frozen"]), seed=st.integers(0, 2**32 - 1))
+def test_one_record_hop_is_the_taped_hop_bytewise(data, hops, dim, mode, seed):
+    rng = np.random.default_rng(seed)
+    n_ent = data.draw(st.integers(1, 9))
+    # only the first n_heads entities have successors
+    n_heads = data.draw(st.integers(1, n_ent))
+    n_tri = data.draw(st.integers(1, 20))
+    triples = np.stack([rng.integers(0, n_heads, n_tri), rng.integers(0, 2, n_tri),
+                        rng.integers(0, n_ent, n_tri)], axis=1)
+    g = KnowledgeGraph(triples, n_ent, 2, {})
+    gcn = GcnParameters.init(dim, hops, rng)
+    base = rng.standard_normal((n_ent, dim)) * data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    weights = rng.standard_normal((n_ent, dim))
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    out, base_grad, gcn_grads, names = _propagate_and_grads(propagate_all, g, base, gcn,
+                                                            weights, mode)
+    want_out, want_base, want_gcn, want_names = _propagate_and_grads(propagate_all_taped, g,
+                                                                     base, gcn, weights, mode)
+    assert out.tobytes() == want_out.tobytes()
+    for got, want in zip(gcn_grads, want_gcn):
+        assert got.tobytes() == want.tobytes()
+    assert (base_grad is None) == (mode == "frozen") == (want_base is None)
+    if base_grad is not None:
+        assert base_grad.tobytes() == want_base.tobytes()
+    assert names == ["gcn_hop"] * hops and len(want_names) == 5 * hops
+
+
+def test_propagation_tape_keeps_one_array_per_hop():
+    # The version tape lives as long as its parameter version; each hop's
+    # record holds the hop's output and nothing of entity size besides.
+    rng = np.random.default_rng(5)
+    n_ent, dim, hops = 2000, 8, 3
+    triples = np.stack([rng.integers(0, n_ent, 8000), rng.integers(0, 4, 8000),
+                        rng.integers(0, n_ent, 8000)], axis=1)
+    g = KnowledgeGraph(triples, n_ent, 4, {})
+    base = Tensor(rng.standard_normal((n_ent, dim)), requires_grad=True)
+    gcn = GcnParameters.init(dim, hops, rng)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        out = propagate_all(g, base, gcn, tape)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n_ent, dim)
+    assert held <= (hops + 1) * n_ent * dim * 8 + 64 * 1024, held
 
 
 def test_gru_step_rows_matches_single_steps():

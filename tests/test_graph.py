@@ -208,6 +208,9 @@ def _structure_graphs(draw):
 def test_structure_matches_per_entity_oracle(graph, x_seed):
     triples, n_ent, n_rel, links = graph
     g = KnowledgeGraph(triples, n_ent, n_rel, links)
+    want_triples = np.unique(triples.astype(np.int64), axis=0)
+    assert g.triples.shape == want_triples.shape and g.triples.dtype == want_triples.dtype
+    assert g.triples.tobytes() == want_triples.tobytes() and not g.triples.flags.writeable
     succ = successors_loop(triples, n_ent)
     for ent in range(n_ent):
         got = g.neighbors(ent)
