@@ -53,9 +53,8 @@ class KnowledgeGraph:
             raise ValueError("entity id out of range")
         if triples[:, 1].min() < 0 or triples[:, 1].max() >= n_relations:
             raise ValueError("relation id out of range")
-        # dedup in (head, relation, tail) order: the rows of np.unique(axis=0)
-        triples = triples[np.lexsort(triples.T[::-1])]
-        triples = triples[np.r_[True, (triples[1:] != triples[:-1]).any(axis=1)]]
+        # dedup, keep a canonical sorted order
+        triples = np.unique(triples, axis=0)
         self.triples = triples
         self.triples.setflags(write=False)
         self.n_entities = int(n_entities)

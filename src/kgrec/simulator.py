@@ -73,11 +73,6 @@ class EpisodeState:
     records: list[StepRecord] = field(default_factory=list)
 
 
-# ratings per gather of the end-of-fit RMSE: two (RMSE_BLOCK, dim) blocks at
-# a time instead of two (ratings, dim) ones; row-wise einsum keeps the bytes
-RMSE_BLOCK = 4096
-
-
 def _level_order(order: np.ndarray, users: np.ndarray, items: np.ndarray, n_users: int,
                  n_items: int):
     """Stable-sort a rating permutation by dependency level: (order, bounds).
@@ -166,10 +161,7 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
             q[i] = qi - lr * (err[:, None] * pu + reg * qi)
             bu[u] = bu_u - lr * (err + reg * bu_u)
             bi[i] = bi_i - lr * (err + reg * bi_i)
-    pred = np.empty(users.size)
-    for start in range(0, users.size, RMSE_BLOCK):
-        u, i = users[start:start + RMSE_BLOCK], items[start:start + RMSE_BLOCK]
-        pred[start:start + RMSE_BLOCK] = mu + bu[u] + bi[i] + np.einsum("ij,ij->i", p[u], q[i])
+    pred = mu + bu[users] + bi[items] + np.einsum("ij,ij->i", p[users], q[items])
     rmse = float(np.sqrt(((pred - ratings) ** 2).mean()))
     thr = 0.5 * (lo + hi) if hit_threshold is None else float(hit_threshold)
     return SimulatorModel(user_factors=p, item_factors=q, user_bias=bu, item_bias=bi,

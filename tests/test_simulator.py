@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rel_error
-from kgrec import simulator
 from kgrec.simulator import (EpisodeState, SimulatorModel, _level_order, fit_mf,
                              instinctive_reward, popularity_table, preference_counts, reset,
                              split_users, step)
@@ -168,22 +167,6 @@ def test_level_fit_matches_per_rating_loop_bitwise(problem):
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-
-
-@pytest.mark.parametrize("block", [1, 7, None])
-@pytest.mark.parametrize("dim", [1, 3, 16])
-def test_blocked_train_rmse_is_the_full_gather_rmse(monkeypatch, block, dim):
-    if block is not None:
-        monkeypatch.setattr(simulator, "RMSE_BLOCK", block)
-    rng = np.random.default_rng(dim)
-    n = 2 * simulator.RMSE_BLOCK + 5 if block is None else 60
-    users, items = rng.integers(0, 300, n), rng.integers(0, 200, n)
-    ratings = rng.integers(1, 6, n).astype(np.float64)
-    m = fit_mf(users, items, ratings, 300, 200, dim=dim, epochs=1, seed=dim)
-    pred = (m.global_mean + m.user_bias[users] + m.item_bias[items]
-            + np.einsum("ij,ij->i", m.user_factors[users], m.item_factors[items]))
-    want = float(np.sqrt(((pred - ratings) ** 2).mean()))
-    assert np.float64(m.train_rmse).tobytes() == np.float64(want).tobytes()
 
 
 @st.composite
