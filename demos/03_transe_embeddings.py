@@ -9,7 +9,7 @@ import numpy as np
 
 from kgrec.synth import SynthSpec, generate
 from kgrec.graph import build_graph
-from kgrec.transe import TranseConfig, transe_pretrain, triple_distance
+from kgrec.transe import TranseConfig, transe_pretrain
 
 data = generate(SynthSpec(clusters=4, items_per_cluster=6, users=40, seed=3))
 g = build_graph(data.triples, data.links)
@@ -27,8 +27,8 @@ for h, r, t in g.triples:
     corrupt = int(rng.integers(0, g.n_entities))
     if (h, r, corrupt) in true:
         continue
-    dp = triple_distance(entities, relations, h, r, t)
-    dn = triple_distance(entities, relations, h, r, corrupt)
+    dp = np.linalg.norm(entities[h] + relations[r] - entities[t])
+    dn = np.linalg.norm(entities[h] + relations[r] - entities[corrupt])
     pos_d.append(dp)
     neg_d.append(dn)
     wins += dp < dn

@@ -10,7 +10,7 @@ Same flow a shell user would run:
 
 Here we call the same entry point in-process and keep everything inside
 a temp directory. The comparison trains two variants, so this is the
-slowest demo (about a minute).
+slowest demo (several seconds).
 """
 
 import pathlib

@@ -11,8 +11,7 @@ from .autodiff import Tape, Tensor
 from .optim import AdamState, adam_step
 from .graph import (CandidateSet, KnowledgeGraph, build_graph, candidate_items,
                     k_hop_sets, load_graph)
-from .transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pretrain,
-                     triple_distance)
+from .transe import TranseConfig, transe_loss_and_grads, transe_pretrain
 from .encoder import GcnParameters, GruParameters, encode_rows, propagate_all
 from .simulator import (EpisodeState, SimulatorModel, StepRecord, fit_mf,
                         instinctive_reward, popularity_table, preference_counts, reset,
@@ -41,10 +40,10 @@ __all__ = [
     "evaluate_policy", "fit_mf", "generate",
     "ingest", "initialize_parameters", "instinctive_reward",
     "interactions_to_threshold", "k_hop_sets", "load_checkpoint", "load_graph",
-    "margin_loss", "parse_config", "popularity_table",
+    "parse_config", "popularity_table",
     "precision_at_horizon", "preference_counts", "propagate_all", "q_rows",
     "recall_at_horizon", "reset", "run_experiment", "save_checkpoint", "soft_update",
     "split_users", "step", "sweep_candidates", "td_loss", "train",
-    "transe_loss_and_grads", "transe_pretrain", "triple_distance", "variant_flags",
+    "transe_loss_and_grads", "transe_pretrain", "variant_flags",
     "wilcoxon_signed_rank", "write_dataset",
 ]

@@ -1,15 +1,16 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 The op set is what the training path uses: row-batched linear maps,
-the elementwise functions of the GRU and Q heads, row gathering, column
-concatenation, reshapes and scalar reductions. Fused computations (a GCN
-hop, the GRU fold) record themselves through `Tape.emit` with a
-hand-written backward. There is no general broadcasting; shapes must
-match exactly except where an op documents otherwise. Every tensor and
-op result must be finite.
+elementwise add, sub, mul and relu, row gathering, column concatenation,
+reshapes and scalar reductions. Fused computations (a GCN hop, the GRU
+fold) record themselves through `Tape.emit` with a hand-written
+backward; so do the taped sigmoid and tanh of the per-op GRU that tests
+compare the fold against (`tests/oracles.py`). There is no general
+broadcasting; shapes must match exactly except where an op documents
+otherwise. Every tensor and op result must be finite.
 
-`sigmoid` is the package's one logistic function (the taped op and the
-plain-numpy inference GRU both call it), and `glorot_uniform` its one
+`sigmoid` is the package's one logistic function (the GRU gates and the
+test oracles' taped op both call it), and `glorot_uniform` its one
 weight initializer.
 """
 
@@ -139,28 +140,9 @@ class Tape:
         ad, bd = a.data, b.data
         return self._binary("mul", a, b, np.multiply, lambda a_, b_: lambda g: g * bd, lambda a_, b_: lambda g: g * ad)
 
-    def scale(self, x: Tensor, factor: float, shift: float = 0.0) -> Tensor:
-        """Elementwise factor * x + shift with python-scalar constants."""
-        return self.emit("scale", factor * x.data + shift, [(x, lambda g: factor * g)])
-
-    def mul_const(self, x: Tensor, mask) -> Tensor:
-        """Elementwise product with a constant array of the same shape."""
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != x.data.shape:
-            raise ValueError(f"mul_const: shapes disagree: {x.data.shape} vs {mask.shape}")
-        return self.emit("mul_const", x.data * mask, [(x, lambda g: g * mask)])
-
     def relu(self, x: Tensor) -> Tensor:
         keep = x.data > 0.0
         return self.emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
-
-    def sigmoid(self, x: Tensor) -> Tensor:
-        out = sigmoid(x.data)
-        return self.emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
-
-    def tanh(self, x: Tensor) -> Tensor:
-        out = np.tanh(x.data)
-        return self.emit("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
 
     def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
         """Concatenate two 2-D tensors along columns."""

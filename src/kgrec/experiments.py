@@ -89,6 +89,7 @@ class ExperimentConfig(TrainSettings):
             if path and not os.path.exists(path):
                 raise ValueError(f"referenced path does not exist: {path}")
         self.train_config().validate()
+        self.canonical_text()  # every value must read back from the snapshot
 
     def train_config(self) -> TrainConfig:
         """The agent's settings: the TrainSettings fields as they are,

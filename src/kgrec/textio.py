@@ -4,6 +4,7 @@ and atomic writes."""
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Iterator
@@ -11,6 +12,8 @@ from typing import Iterator
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 _CASTS = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOLS[v.lower()],
           "tuple[int, ...]": lambda v: tuple(int(tok) for tok in v.split(",") if tok.strip())}
+# a `#` at the start of a line or after whitespace starts a comment
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _or_none(cast):
@@ -28,14 +31,15 @@ def field_casters(cls) -> dict:
 
 
 def parse_flat(text: str, casters: dict, source: str) -> dict:
-    """Flat `key = value` text to {key: cast value}; `#` starts a comment.
+    """Flat `key = value` text to {key: cast value}; a `#` at the start of a
+    line or after whitespace starts a comment, any other `#` is text.
 
     A line without `=`, an unknown or repeated key and a value its caster
     rejects raise ValueError prefixed with `source:lineno:`.
     """
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
         where = f"{source}:{lineno}"
@@ -55,8 +59,17 @@ def parse_flat(text: str, casters: dict, source: str) -> dict:
 
 
 def flat_text(pairs) -> str:
-    """`key = value` lines for (key, value) pairs, as `field_casters` reads them."""
-    return "".join(f"{key} = {_format_value(value)}\n" for key, value in pairs)
+    """`key = value` lines for (key, value) pairs, as `field_casters` reads
+    them. A value that would not read back (leading or trailing whitespace,
+    a line break, a `#` that `parse_flat` takes for a comment) raises
+    ValueError naming its key."""
+    lines = []
+    for key, value in pairs:
+        text = _format_value(value)
+        if text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(text):
+            raise ValueError(f"value of {key!r} would not read back: {text!r}")
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 def _format_value(value) -> str:

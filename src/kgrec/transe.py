@@ -38,16 +38,6 @@ class TranseConfig:
             raise ValueError(f"TranseConfig.margin must be finite, got {self.margin}")
 
 
-def triple_distance(entities: np.ndarray, relations: np.ndarray, h: int, r: int, t: int) -> float:
-    """L2 length of e_h + e_r - e_t; zero iff the translation is exact."""
-    return float(np.linalg.norm(entities[h] + relations[r] - entities[t]))
-
-
-def margin_loss(d_pos: float, d_neg: float, margin: float) -> float:
-    """Hinge on the ranking margin: max(0, margin + d_pos - d_neg)."""
-    return max(0.0, margin + d_pos - d_neg)
-
-
 def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,
                           pos: np.ndarray, neg: np.ndarray, margin: float):
     """Mean margin-ranking loss over triple pairs, with gradients.

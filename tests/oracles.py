@@ -13,8 +13,9 @@ batched inference path is held to within a tolerance, since stacked
 gemms round differently from per-row ones.
 The one-row and per-item forms state a batched computation for one
 sample, so tests can check it against finite differences and
-hand-derived equations. The rest are helpers only the tests call: a
-single action pick, the simulator's batch MF loss and a curve CSV reader.
+hand-derived equations. The rest are helpers only the tests call: the
+taped sigmoid and tanh of the per-op GRU, a single action pick, the
+simulator's batch MF loss and a curve CSV reader.
 """
 
 import numpy as np
@@ -29,16 +30,29 @@ from kgrec.simulator import SimulatorModel, reset, step
 from kgrec.textio import read_csv
 
 
+def sigmoid_taped(tape, x):
+    """Taped elementwise `kgrec.autodiff.sigmoid`."""
+    out = sigmoid(x.data)
+    return tape.emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
+
+
+def tanh_taped(tape, x):
+    """Taped elementwise tanh."""
+    out = np.tanh(x.data)
+    return tape.emit("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
+
+
 def gru_step_rows(p, h_prev, items, tape):
     """One gated update of B session states (B, d) by B clicked-item rows,
     as 17 taped ops."""
-    z = tape.sigmoid(tape.add(tape.linear(items, p.w_update, p.b_update),
-                              tape.linear(h_prev, p.u_update)))
-    r = tape.sigmoid(tape.add(tape.linear(items, p.w_reset, p.b_reset),
-                              tape.linear(h_prev, p.u_reset)))
-    h_cand = tape.tanh(tape.add(tape.linear(items, p.w_cand, p.b_cand),
-                                tape.linear(tape.mul(r, h_prev), p.u_cand)))
-    return tape.add(tape.mul(tape.scale(z, -1.0, 1.0), h_prev), tape.mul(z, h_cand))
+    z = sigmoid_taped(tape, tape.add(tape.linear(items, p.w_update, p.b_update),
+                                     tape.linear(h_prev, p.u_update)))
+    r = sigmoid_taped(tape, tape.add(tape.linear(items, p.w_reset, p.b_reset),
+                                     tape.linear(h_prev, p.u_reset)))
+    h_cand = tanh_taped(tape, tape.add(tape.linear(items, p.w_cand, p.b_cand),
+                                       tape.linear(tape.mul(r, h_prev), p.u_cand)))
+    keep = tape.sub(Tensor(np.ones(z.shape)), z)  # 1 - z
+    return tape.add(tape.mul(keep, h_prev), tape.mul(z, h_cand))
 
 
 def encode_rows_taped(gru, item_matrix, row_of, histories, tape):
@@ -51,9 +65,10 @@ def encode_rows_taped(gru, item_matrix, row_of, histories, tape):
     masks = np.repeat(valid[:, :, None].astype(np.float64), dim, axis=2)
     for t in range(len(rows)):
         items = tape.gather_rows(item_matrix, rows[t])
-        items = tape.mul_const(items, masks[t])  # zero the padded rows' input
+        keep, drop = Tensor(masks[t]), Tensor(1.0 - masks[t])
+        items = tape.mul(items, keep)  # zero the padded rows' input
         step = gru_step_rows(gru, h, items, tape)
-        h = tape.add(tape.mul_const(step, masks[t]), tape.mul_const(h, 1.0 - masks[t]))
+        h = tape.add(tape.mul(step, keep), tape.mul(h, drop))
     return h
 
 

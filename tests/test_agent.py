@@ -951,6 +951,26 @@ def test_full_variant_trains_end_to_end():
     assert curve[-1].interactions == 16
 
 
+def test_train_propagates_once_per_parameter_version(monkeypatch):
+    # inference and the TD loss of one version share a single GCN
+    # propagation: the loss continues that version's tape
+    calls = []
+    real = agent_module.propagate_all
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(agent_module, "propagate_all", counted)
+    env = _tiny_world()
+    cfg = _cfg(interaction_budget=64, eval_every=20)
+    params, _, curve = train(env, _ring_graph(8), cfg, seed=0)
+    assert params.version == 64 // cfg.horizon * cfg.updates_per_episode
+    assert len(calls) == params.version + 1
+    # the budget is no multiple of eval_every: a closing evaluation ends the curve
+    assert [p.interactions for p in curve] == [0, 20, 40, 60, 64]
+
+
 def test_cached_paths_reproduce_reference_training(tmp_path, monkeypatch):
     # the same world and training with the wave-scheduled simulator fit, the
     # cached graph rows, the ordered TransE scatter and the one-record GRU

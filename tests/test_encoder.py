@@ -132,11 +132,11 @@ def test_gru_gradients_match_finite_differences():
         def loss_fn():
             tape = Tape()
             h = encode_rows(gru, matrix, np.arange(3), histories, tape)
-            return float(tape.sum(tape.mul_const(h, weights)).data)
+            return float(tape.sum(tape.mul(h, Tensor(weights))).data)
 
         tape = Tape()
         h = encode_rows(gru, matrix, np.arange(3), histories, tape)
-        grads = tape.backward(tape.sum(tape.mul_const(h, weights)), wrt=params)
+        grads = tape.backward(tape.sum(tape.mul(h, Tensor(weights))), wrt=params)
         want = finite_difference(loss_fn, params)
         for t in params:
             assert rel_error(grads[t], want[t]) < TOL, f"trial {trial}"
@@ -166,11 +166,11 @@ def _fold_and_grads(fold, gru, matrix, row_of, histories, actions, weights, mode
     op output of the tape or frozen."""
     tape = Tape()
     base = Tensor(matrix, requires_grad=mode != "frozen")
-    items = tape.scale(base, 1.0) if mode == "produced" else base
+    items = tape.reshape(base, base.shape) if mode == "produced" else base
     with _recorded_pulls() as records:
         h = fold(gru, items, row_of, histories, tape)
     acted = tape.gather_rows(items, actions)
-    loss = tape.sum(tape.mul_const(tape.concat_cols(h, acted), weights))
+    loss = tape.sum(tape.mul(tape.concat_cols(h, acted), Tensor(weights)))
     grads = tape.backward(loss, wrt=gru.tensors())
     pulled = [sum(inp is items for inp, _ in pulls) for name, pulls in records
               if name == "encode_rows"]
@@ -296,11 +296,12 @@ def test_gcn_gradients_match_finite_differences():
 
         def loss_fn():
             tape = Tape()
-            return float(tape.sum(tape.mul_const(propagate_all(g, base, gcn, tape), weights)).data)
+            out = propagate_all(g, base, gcn, tape)
+            return float(tape.sum(tape.mul(out, Tensor(weights))).data)
 
         tape = Tape()
         out = propagate_all(g, base, gcn, tape)
-        grads = tape.backward(tape.sum(tape.mul_const(out, weights)), wrt=params)
+        grads = tape.backward(tape.sum(tape.mul(out, Tensor(weights))), wrt=params)
         want = finite_difference(loss_fn, params)
         for t in params:
             # relu kinks can pollute single entries; the shift above keeps
@@ -314,10 +315,10 @@ def _propagate_and_grads(propagate, g, base_data, gcn, weights, mode):
     with the base a trainable leaf, an op output of the tape or frozen."""
     tape = Tape()
     base = Tensor(base_data, requires_grad=mode != "frozen")
-    x = tape.scale(base, 1.0) if mode == "produced" else base
+    x = tape.reshape(base, base.shape) if mode == "produced" else base
     with _recorded_pulls() as records:
         out = propagate(g, x, gcn, tape)
-    grads = tape.backward(tape.sum(tape.mul_const(out, weights)), wrt=gcn.tensors())
+    grads = tape.backward(tape.sum(tape.mul(out, Tensor(weights))), wrt=gcn.tensors())
     return out.data, grads.get(base), [grads[t] for t in gcn.tensors()], [n for n, _ in records]
 
 

@@ -4,10 +4,11 @@ assembly, run artifacts, comparisons, sweeps and the CLI surface."""
 import logging
 import os
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kgrec.agent as agent_module
 import kgrec.experiments as experiments_module
@@ -217,8 +218,9 @@ def test_config_hash_is_pinned():
     assert parse_config_text("").config_hash() == "2eced3482a201533"
 
 
-_CONFIG_CHARS = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
-                              blacklist_characters="#")
+# "#" and " " drawn often, so values with and without a comment mark both occur
+_CONFIG_CHARS = (st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))
+                 | st.sampled_from("# "))
 _SEGMENT = st.text(_CONFIG_CHARS.filter(lambda ch: ch != "/"), min_size=1, max_size=8)
 _VALUES = {
     "int": st.integers(),
@@ -240,13 +242,55 @@ def _field_values(f):
     return st.none() | _VALUES[kind] if optional == "None" else _VALUES[kind]
 
 
+def _starts_comment(value):
+    """Whether a `#` in `value` stands at its start or after whitespace."""
+    return any(ch == "#" and (i == 0 or value[i - 1].isspace()) for i, ch in enumerate(value))
+
+
+_DEFAULTS = asdict(ExperimentConfig())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fixed_dictionaries({f.name: _field_values(f) for f in fields(ExperimentConfig)}))
+@example({**_DEFAULTS, "ratings": "/exp#1/r.tsv", "out_dir": "/runs/x#", "candidate_sizes": "5,#"})
+@example({**_DEFAULTS, "out_dir": "/runs/exp #1"})
 def test_canonical_text_round_trips_every_field(values):
     cfg = ExperimentConfig(**values)
+    commented = sorted(k for k, v in values.items() if isinstance(v, str) and _starts_comment(v))
+    if commented:  # the first such key in canonical order is the one named
+        with pytest.raises(ValueError, match=f"'{commented[0]}'"):
+            cfg.canonical_text()
+        return
     again = parse_config_text(cfg.canonical_text())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
+
+
+def test_config_in_a_hash_named_directory_round_trips(tmp_path):
+    here = tmp_path / "exp#1_a"
+    here.mkdir()
+    (here / "r.tsv").write_text("u\ti\t4.0\n")
+    (here / "run.cfg").write_text("ratings = r.tsv  # beside this file\nout_dir = runs\n"
+                                  "kg_embeddings = false\ngcn_propagation = false\n"
+                                  "candidate_selection = false\n")
+    cfg = parse_config(str(here / "run.cfg"))
+    assert (cfg.ratings, cfg.out_dir) == (str(here / "r.tsv"), str(here / "runs"))
+    cfg.validate()
+    snapshot = tmp_path / "config.snapshot"
+    snapshot.write_text(cfg.canonical_text())
+    assert parse_config(str(snapshot)) == cfg
+
+
+def test_validate_rejects_a_path_the_snapshot_would_cut(tmp_path):
+    here = tmp_path / "exp #1"
+    here.mkdir()
+    (here / "r.tsv").write_text("u\ti\t4.0\n")
+    cfg = parse_config_text("ratings = r.tsv\nkg_embeddings = false\n"
+                            "gcn_propagation = false\ncandidate_selection = false\n",
+                            base_dir=str(here))
+    assert cfg.ratings == str(here / "r.tsv")
+    with pytest.raises(ValueError, match="'ratings'"):
+        cfg.validate()
 
 
 def test_parse_config_resolves_paths_against_config_dir(tmp_path):
@@ -755,6 +799,60 @@ def test_cli_end_to_end(world, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "size 2:" in out and "size all:" in out
     assert os.path.exists(os.path.join(sweep_dir, "sweep.csv"))
+
+
+def test_cli_synth_seed_overrides_the_spec(tmp_path):
+    body = "clusters = 3\nitems_per_cluster = 4\nusers = 12\nout_ratings_per_user = 2\n"
+    (tmp_path / "seed0.cfg").write_text(body + "seed = 0\n")
+    (tmp_path / "seed5.cfg").write_text(body + "seed = 5\n")
+    runs = {"spec 0": ["--spec", str(tmp_path / "seed0.cfg")],
+            "spec 5": ["--spec", str(tmp_path / "seed5.cfg")],
+            "spec 0, --seed 5": ["--spec", str(tmp_path / "seed0.cfg"), "--seed", "5"]}
+    files = {}
+    for k, (name, args) in enumerate(runs.items()):
+        out = str(tmp_path / f"out{k}")
+        assert cli.main(["synth", *args, "--out", out]) == 0
+        files[name] = [(tmp_path / f"out{k}" / f).read_bytes()
+                       for f in ("interactions.tsv", "kg_triples.tsv", "kg_links.tsv")]
+    assert files["spec 0, --seed 5"] == files["spec 5"]
+    assert files["spec 0, --seed 5"] != files["spec 0"]
+
+
+def test_cli_eval_without_a_snapshot_needs_config(world, tmp_path, capsys):
+    exp_dir = tmp_path / "exp"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_config_text(world, str(exp_dir), seeds="0"))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(exp_dir / "seed_0" / "checkpoint.npz")]) == 0
+    in_place = capsys.readouterr().out
+    moved = tmp_path / "moved" / "seed_0"
+    moved.mkdir(parents=True)
+    (moved / "checkpoint.npz").write_bytes((exp_dir / "seed_0" / "checkpoint.npz").read_bytes())
+    with pytest.raises(SystemExit, match="no config.snapshot"):
+        cli.main(["eval", "--checkpoint", str(moved / "checkpoint.npz")])
+    assert cli.main(["eval", "--checkpoint", str(moved / "checkpoint.npz"),
+                     "--config", str(exp_dir / "config.snapshot")]) == 0
+    assert capsys.readouterr().out == in_place
+
+
+def test_cli_sweep_takes_sizes_from_the_config(world, tmp_path, monkeypatch, capsys):
+    ran = []
+
+    def record(config):
+        ran.append((config.candidate_size, config.out_dir))
+        report = SimpleNamespace(average_reward=0.5, precision=0.25, recall=0.125)
+        return [SimpleNamespace(seed=0, report=report)]
+
+    monkeypatch.setattr(experiments_module, "run_experiment", record)
+    out = tmp_path / "sweep"
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(_config_text(world, str(out), candidate_sizes="3, all,2"))
+    assert cli.main(["sweep-candidates", "--config", str(cfg_path)]) == 0
+    assert ran == [(token, str(out / f"size_{token}")) for token in ("3", "all", "2")]
+    assert "size all: mean reward 0.5000 over 1 seeds" in capsys.readouterr().out
+    assert (out / "sweep.csv").read_text().splitlines()[1:] == [
+        f"{token},0,0.5,0.25,0.125" for token in ("3", "all", "2")]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -33,7 +33,7 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 @pytest.mark.parametrize("demo", ["01_taped_gradients.py", "02_graph_candidates.py",
                                   "03_transe_embeddings.py", "04_user_simulator.py",
-                                  "05_train_agent.py"])
+                                  "05_train_agent.py", "06_experiments_cli.py"])
 def test_layer_demo_runs(demo, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where mkdtemp writes
     runpy.run_path(str(DEMOS / demo), run_name="__main__")

@@ -1,7 +1,7 @@
 """The text formats: a failed atomic write keeps the old file and leaves no
 temporary file behind, malformed CSV, TSV and config input raises
-ValueError naming its file and line, and every reader skips blank and
-whitespace-only lines."""
+ValueError naming its file and line, every reader skips blank and
+whitespace-only lines, and flat text reads back or refuses to be written."""
 
 import os
 
@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from kgrec.experiments import _read_per_user
 from kgrec.synth import SynthSpec
-from kgrec.textio import (atomic_open, atomic_write, csv_text, field_casters, parse_flat,
-                          read_csv, read_tsv)
+from kgrec.textio import (atomic_open, atomic_write, csv_text, field_casters, flat_text,
+                          parse_flat, read_csv, read_tsv)
 
 
 def test_failed_write_keeps_old_bytes_and_no_temporary_file(tmp_path):
@@ -135,6 +135,21 @@ def test_malformed_config_lines_raise_with_their_line(data, kind):
     _raises_at(lambda: parse_flat(text, SPEC_CASTERS, "spec.conf"), "spec.conf", lineno)
     text = "".join(f"{line}\n" for line in _strewn(good, data))
     assert sorted(parse_flat(text, SPEC_CASTERS, "spec.conf")) == sorted(keys)
+
+
+def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
+    casters = {"path": str, "n": int}
+    text = "# header\npath = /runs/exp#1/r#.tsv\t# a note\n  # indented\nn = 3 #\n"
+    assert parse_flat(text, casters, "t") == {"path": "/runs/exp#1/r#.tsv", "n": 3}
+    assert parse_flat("path = #1\n", casters, "t") == {"path": ""}
+    assert flat_text([("path", "/runs/exp#1/r#.tsv")]) == "path = /runs/exp#1/r#.tsv\n"
+
+
+@pytest.mark.parametrize("value", [" lead", "trail ", "two\nlines", "a\rb", "#1", "exp #1",
+                                   "tab\t#"])
+def test_flat_text_rejects_a_value_that_would_not_read_back(value):
+    with pytest.raises(ValueError, match="'path'"):
+        flat_text([("n", 3), ("path", value)])
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import kgrec.transe as transe_module
 from conftest import rel_error
 from kgrec.graph import KnowledgeGraph
-from kgrec.transe import (TranseConfig, margin_loss, transe_loss_and_grads, transe_pretrain,
-                          triple_distance)
+from kgrec.transe import TranseConfig, transe_loss_and_grads, transe_pretrain
 from oracles import transe_loss_and_grads_add_at
 
 
@@ -20,21 +19,6 @@ def _toy_graph(rng, n_ent=12, n_rel=3, n_tri=30):
                         rng.integers(0, n_rel, size=n_tri),
                         rng.integers(0, n_ent, size=n_tri)], axis=1)
     return KnowledgeGraph(triples, n_ent, n_rel, {})
-
-
-def test_triple_distance_zero_on_exact_translation():
-    entities = np.array([[1.0, 2.0], [4.0, 6.0]])
-    relations = np.array([[3.0, 4.0]])
-    assert triple_distance(entities, relations, 0, 0, 1) == 0.0
-    assert abs(triple_distance(entities, relations, 1, 0, 0) -
-               np.linalg.norm([6.0, 8.0])) < 1e-12
-
-
-def test_margin_loss_hand_cases():
-    assert margin_loss(0.0, 0.0, 1.0) == 1.0
-    assert margin_loss(0.5, 2.0, 1.0) == 0.0  # negative far enough away
-    assert margin_loss(2.0, 0.5, 1.0) == 2.5
-    assert margin_loss(1.0, 2.0, 1.0) == 0.0  # boundary hinges to zero
 
 
 def test_loss_gradients_match_finite_differences():
