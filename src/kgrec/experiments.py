@@ -18,10 +18,9 @@ import numpy as np
 from .agent import (CurvePoint, Environment, TrainConfig, TrainSettings, save_checkpoint,
                     train)
 from .graph import KnowledgeGraph, build_graph, read_links, read_triples
-from .metrics import EvaluationReport, build_report, wilcoxon_signed_rank
+from .metrics import PER_USER_HEADER, EvaluationReport, build_report, wilcoxon_signed_rank
 from .simulator import fit_mf, popularity_table, split_users
-from .textio import (atomic_write, csv_text, field_casters, flat_text, parse_flat, read_csv,
-                     read_tsv)
+from .textio import atomic_write, field_casters, flat_text, parse_flat, read_rows, rows_text
 
 logger = logging.getLogger("kgrec.experiments")
 
@@ -175,7 +174,7 @@ def ingest(config: ExperimentConfig) -> Dataset:
     """
     rows = []
     what = "user<TAB>item<TAB>rating[<TAB>timestamp]"
-    for lineno, parts in read_tsv(config.ratings, (3, 4), what):
+    for lineno, parts in read_rows(config.ratings, "\t", (3, 4), what):
         try:
             rating = float(parts[2])
             stamp = float(parts[3]) if len(parts) == 4 else 0.0
@@ -293,8 +292,8 @@ CURVE_HEADER = "interactions,reward,precision,recall,seed"
 
 
 def curve_csv_text(curve: list[CurvePoint], seed: int) -> str:
-    return csv_text(CURVE_HEADER, ((pt.interactions, pt.reward, pt.precision, pt.recall, seed)
-                                   for pt in curve))
+    return rows_text(((pt.interactions, pt.reward, pt.precision, pt.recall, seed)
+                      for pt in curve), CURVE_HEADER)
 
 
 def interactions_to_threshold(curve: list[CurvePoint], threshold: float) -> int | None:
@@ -334,7 +333,11 @@ def run_single_seed(env: Environment, graph: KnowledgeGraph | None,
 
 def run_experiment(config: ExperimentConfig) -> list[RunArtifacts]:
     """Train/evaluate once per seed; write per-seed artifacts plus an
-    aggregate CSV with mean and standard-deviation rows."""
+    aggregate CSV with mean and standard-deviation rows. Relative paths
+    resolve against the working directory first, so every snapshot parses
+    back to the config the run used."""
+    config = replace(config, **{key: os.path.abspath(getattr(config, key))
+                                for key in _PATH_KEYS if getattr(config, key)})
     config.validate()
     ds = ingest(config)
     env = build_environment(ds, config)
@@ -351,7 +354,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunArtifacts]:
     rows = [(a.seed, *final) for a, final in zip(artifacts, finals.tolist())]
     rows += [("mean", *finals.mean(axis=0).tolist()), ("std", *finals.std(axis=0).tolist())]
     atomic_write(os.path.join(config.out_dir, "aggregate.csv"),
-                 csv_text("seed,reward,precision,recall", rows))
+                 rows_text(rows, "seed,reward,precision,recall"))
     return artifacts
 
 
@@ -363,7 +366,7 @@ def _read_per_user(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     that does not parse, or holds a non-finite metric, raises ValueError
     with the path and line."""
     users, values = [], []
-    for lineno, row in read_csv(path, "user,reward,precision,recall"):
+    for lineno, row in read_rows(path, ",", (4,), PER_USER_HEADER, PER_USER_HEADER):
         try:
             users.append(int(row[0]))
             values.append([float(v) for v in row[1:]])
@@ -424,9 +427,9 @@ def compare(dir_a: str, dir_b: str, alpha: float = 0.05) -> list[MetricCompariso
 
 
 def comparison_text(results: list[MetricComparison]) -> str:
-    return csv_text("metric,mean_a,mean_b,statistic,p_value,significant",
-                    ((r.metric, r.mean_a, r.mean_b, r.statistic, r.p_value,
-                      "yes" if r.significant else "no") for r in results))
+    return rows_text(((r.metric, r.mean_a, r.mean_b, r.statistic, r.p_value,
+                       "yes" if r.significant else "no") for r in results),
+                     "metric,mean_a,mean_b,statistic,p_value,significant")
 
 
 # -- candidate-size sweep -------------------------------------------------
@@ -457,5 +460,5 @@ def sweep_candidates(config: ExperimentConfig, sizes: list[int | None] | None = 
             rows.append((token, a.seed, a.report.average_reward, a.report.precision,
                          a.report.recall))
     atomic_write(os.path.join(config.out_dir, "sweep.csv"),
-                 csv_text("size,seed,reward,precision,recall", rows))
+                 rows_text(rows, "size,seed,reward,precision,recall"))
     return results

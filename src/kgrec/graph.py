@@ -13,7 +13,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .textio import read_tsv
+from .textio import read_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +119,14 @@ class KnowledgeGraph:
 
 def read_triples(path: str) -> list[tuple[str, str, str]]:
     """The head<TAB>relation<TAB>tail rows of a triples file."""
-    return [tuple(parts) for _, parts in read_tsv(path, (3,), "head<TAB>relation<TAB>tail")]
+    return [tuple(parts) for _, parts in read_rows(path, "\t", (3,), "head<TAB>relation<TAB>tail")]
 
 
 def read_links(path: str) -> dict[str, str]:
     """The item<TAB>entity lines of a links file as {item: entity}; an item
     linked to two entities is rejected with its line number."""
     links: dict[str, str] = {}
-    for lineno, (item, ent) in read_tsv(path, (2,), "item<TAB>entity"):
+    for lineno, (item, ent) in read_rows(path, "\t", (2,), "item<TAB>entity"):
         if links.setdefault(item, ent) != ent:
             raise ValueError(f"{path}:{lineno}: link map not a function: "
                              f"item {item!r} linked to two entities")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .textio import csv_text, flat_text
+from .textio import flat_text, rows_text
 
 log = logging.getLogger(__name__)
 
@@ -66,17 +66,11 @@ def _recalls(logs, n_preferences) -> tuple[list, int]:
     return values, int((counts <= 0).sum())
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average 1-based ranks, and the size of each tie group: a group of `c`
+    equal values ending at position `e` of the sorted order ranks `e - (c - 1) / 2`."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
 
 
 def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
@@ -100,12 +94,15 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     Raises
     ------
     ValueError
-        If fewer than 5 non-zero differences remain (and not all are zero).
+        If a sample is not finite, or fewer than 5 non-zero differences
+        remain (and not all are zero).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"paired 1-D samples required, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
     d = a - b
     d = d[d != 0.0]
     if d.size == 0:
@@ -113,7 +110,7 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     n = d.size
     if n < 5:
         raise ValueError(f"need at least 5 non-zero differences, got {n}")
-    ranks = _average_ranks(np.abs(d))
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0.0].sum())
 
     if n <= 25:
@@ -131,13 +128,15 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
         return w_plus, min(1.0, 2.0 * min(p_le, p_ge))
 
     mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
     var = n * (n + 1) * (2 * n + 1) / 24.0 - ((tie_counts**3 - tie_counts).sum()) / 48.0
     if var <= 0:
         return w_plus, 1.0
     shift = 0.5 if w_plus > mu else (-0.5 if w_plus < mu else 0.0)
     z = (w_plus - mu - shift) / math.sqrt(var)
     return w_plus, float(math.erfc(abs(z) / math.sqrt(2.0)))
+
+
+PER_USER_HEADER = "user,reward,precision,recall"
 
 
 @dataclass
@@ -163,7 +162,7 @@ class EvaluationReport:
                          if f.name != "per_user")
 
     def per_user_csv(self) -> str:
-        return csv_text("user,reward,precision,recall", self.per_user)
+        return rows_text(self.per_user, PER_USER_HEADER)
 
 
 def build_report(users, logs, n_preferences, gamma: float, interactions: int = 0,

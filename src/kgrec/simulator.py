@@ -39,15 +39,12 @@ class SimulatorModel:
         return self.item_factors.shape[0]
 
     def predict_raw(self, user: int, item: int) -> float:
-        """Unclamped prediction; unknown ids fall back to bias-only terms."""
-        value = self.global_mean
-        if 0 <= user < self.n_users:
-            value += self.user_bias[user]
-        if 0 <= item < self.n_items:
-            value += self.item_bias[item]
-        if 0 <= user < self.n_users and 0 <= item < self.n_items:
-            value += float(self.user_factors[user] @ self.item_factors[item])
-        return float(value)
+        """Unclamped prediction; an id outside the model raises IndexError."""
+        if not (0 <= user < self.n_users and 0 <= item < self.n_items):
+            raise IndexError(f"(user {user}, item {item}) outside the model's "
+                             f"{self.n_users} users and {self.n_items} items")
+        value = self.global_mean + self.user_bias[user] + self.item_bias[item]
+        return float(value + float(self.user_factors[user] @ self.item_factors[item]))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import atomic_write, field_casters, parse_flat
+from .textio import atomic_write, field_casters, parse_flat, rows_text
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,6 @@ def parse_spec(path: str) -> SynthSpec:
     return spec
 
 
-def write_interactions(path: str, users, items, ratings) -> None:
-    lines = [f"{int(u)}\t{int(i)}\t{float(r)!r}" for u, i, r in zip(users, items, ratings)]
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_graph(triples_path: str, links_path: str, triples, links: dict) -> None:
-    atomic_write(triples_path, "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples))
-    atomic_write(links_path, "".join(f"{item}\t{ent}\n" for item, ent in links.items()))
-
-
 def write_dataset(out_dir: str, data: SynthData) -> dict[str, str]:
     """Write the three TSV files; returns their paths keyed by role."""
     os.makedirs(out_dir, exist_ok=True)
@@ -145,6 +135,7 @@ def write_dataset(out_dir: str, data: SynthData) -> dict[str, str]:
         "triples": os.path.join(out_dir, "kg_triples.tsv"),
         "links": os.path.join(out_dir, "kg_links.tsv"),
     }
-    write_interactions(paths["ratings"], data.users, data.items, data.ratings)
-    write_graph(paths["triples"], paths["links"], data.triples, data.links)
+    atomic_write(paths["ratings"], rows_text(zip(data.users, data.items, data.ratings), sep="\t"))
+    atomic_write(paths["triples"], rows_text(data.triples, sep="\t"))
+    atomic_write(paths["links"], rows_text(data.links.items(), sep="\t"))
     return paths

@@ -1,5 +1,5 @@
-"""The on-disk text formats: flat `key = value` files, TSV and CSV rows,
-and atomic writes."""
+"""The on-disk text formats: flat `key = value` files, delimited rows (the
+TSV data files and the CSV run files), and atomic writes."""
 
 from __future__ import annotations
 
@@ -78,53 +78,40 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr is `np.float64(...)`
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
 
 
-def read_tsv(path: str, widths: tuple[int, ...], what: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) per non-blank line of a UTF-8 TSV file, read as
-    iterated; a line of only whitespace is blank. A field count outside
-    `widths` raises ValueError with the path and line."""
+def read_rows(path: str, sep: str, widths: tuple[int, ...], what: str,
+              header: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) per non-blank line of a UTF-8 file, split on
+    `sep` and read as iterated; a line of only whitespace is blank. With
+    `header`, the first line (stripped) must be it and rows count from
+    line 2. A field count outside `widths` raises ValueError with the path
+    and line."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+        if header is not None:
+            first = fh.readline().strip()
+            if first != header:
+                raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
+        for lineno, line in enumerate(fh, start=1 if header is None else 2):
             if not line.strip():
                 continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split(sep)
             if len(parts) not in widths:
                 raise ValueError(f"{path}:{lineno}: expected {what}, "
-                                 f"got {len(parts)} tab-separated fields")
+                                 f"got {len(parts)} fields separated by {sep!r}")
             yield lineno, parts
 
 
-def csv_text(header: str, rows) -> str:
-    """The header line, then one comma-joined line per row of values."""
-    lines = [header, *(",".join(_format_value(v) for v in row) for row in rows)]
+def rows_text(rows, header: str | None = None, sep: str = ",") -> str:
+    """The header line if given, then one `sep`-joined line per row of
+    values, as `read_rows` reads them."""
+    lines = [] if header is None else [header]
+    lines += (sep.join(map(_format_value, row)) for row in rows)
     return "".join(f"{line}\n" for line in lines)
-
-
-def read_csv(path: str, header: str) -> list[tuple[int, list[str]]]:
-    """(line number, fields) per comma-split non-blank line after the first,
-    which must be `header`; a row whose field count differs from the
-    header's raises ValueError with the path and line."""
-    width = header.count(",") + 1
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} comma-separated fields "
-                                 f"({header}), got {len(parts)}")
-            rows.append((lineno, parts))
-    return rows
 
 
 @contextmanager

@@ -27,7 +27,7 @@ from kgrec.encoder import padded_rows
 from kgrec.experiments import CURVE_HEADER
 from kgrec.graph import CandidateSet, k_hop_sets
 from kgrec.simulator import SimulatorModel, reset, step
-from kgrec.textio import read_csv
+from kgrec.textio import read_rows
 
 
 def sigmoid_taped(tape, x):
@@ -421,6 +421,7 @@ def mf_loss_and_grads(user_factors, item_factors, user_bias, item_bias, global_m
 
 def read_curve(path):
     """Parse a `curve.csv` written by `kgrec.experiments.curve_csv_text`."""
+    rows = read_rows(path, ",", (5,), CURVE_HEADER, CURVE_HEADER)
     return [CurvePoint(interactions=int(inter), reward=float(reward),
                        precision=float(precision), recall=float(recall))
-            for _, (inter, reward, precision, recall, _) in read_csv(path, CURVE_HEADER)]
+            for _, (inter, reward, precision, recall, _) in rows]

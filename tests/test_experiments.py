@@ -3,7 +3,7 @@ assembly, run artifacts, comparisons, sweeps and the CLI surface."""
 
 import logging
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -592,6 +592,23 @@ def test_run_experiment_writes_complete_artifacts(world, tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1", "mean", "std"]
     rewards = [float(r[1]) for r in rows[1:3]]
     assert float(rows[3][1]) == pytest.approx(np.mean(rewards), abs=1e-12)
+
+
+def test_snapshots_of_a_config_with_relative_paths_parse_back_to_it(world, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    relative = {key: os.path.relpath(world[key]) for key in ("ratings", "triples", "links")}
+    cfg = replace(_tiny_config(world, "unused"), **relative, out_dir="runs/x")
+    artifacts = run_experiment(cfg)
+    # the run's config: each path resolved against the working directory
+    want = replace(cfg, **{key: os.path.abspath(getattr(cfg, key))
+                           for key in ("ratings", "triples", "links", "out_dir")})
+    assert artifacts[0].run_dir == os.path.join(want.out_dir, "seed_0")
+    for run_dir in (want.out_dir, *(a.run_dir for a in artifacts)):
+        back = parse_config(os.path.join(run_dir, "config.snapshot"))
+        assert back == want
+        assert back.config_hash() == artifacts[0].config_hash
+        back.validate()
 
 
 def test_reports_reuse_the_last_curve_points_greedy_pass(world, tmp_path, monkeypatch):

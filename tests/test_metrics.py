@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from kgrec.metrics import (EvaluationReport, average_reward, build_report, episode_reward,
-                           precision_at_horizon, recall_at_horizon, wilcoxon_signed_rank)
+from kgrec.metrics import (EvaluationReport, _average_ranks, average_reward, build_report,
+                           episode_reward, precision_at_horizon, recall_at_horizon,
+                           wilcoxon_signed_rank)
 
 
 @dataclass
@@ -69,21 +70,39 @@ def test_recall_per_user_and_zero_preferences(caplog):
         recall_at_horizon(logs, np.array([1, 2, 3]))
 
 
+def _average_ranks_oracle(values):
+    """Average 1-based ranks, one tie run at a time."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n)
+    sorted_values = values[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_the_tie_run_loop():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        # few distinct values, so most ranks are shared
+        values = rng.integers(0, int(rng.integers(1, 8)), size=n) * rng.choice([0.5, 1.0, 3.25])
+        ranks, ties = _average_ranks(values)
+        assert ranks.tobytes() == _average_ranks_oracle(values).tobytes()
+        assert ties.tolist() == np.unique(values, return_counts=True)[1].tolist()
+
+
 def _wilcoxon_oracle(a, b):
     """Exact two-sided p by enumerating all sign assignments."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     d = d[d != 0.0]
     n = d.size
-    order = np.argsort(np.abs(d), kind="stable")
-    ranks = np.empty(n)
-    sorted_abs = np.abs(d)[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = _average_ranks_oracle(np.abs(d))
     w_plus = ranks[d > 0].sum()
     signs = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # every sign vector
     w_all = signs @ ranks
@@ -131,6 +150,12 @@ def test_wilcoxon_identical_and_small_samples():
         wilcoxon_signed_rank(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
     with pytest.raises(ValueError):
         wilcoxon_signed_rank(np.zeros((2, 2)), np.zeros((2, 2)))
+    # a NaN difference is neither zero nor signed; an infinite one has no rank
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(np.array([1.0, 2.0, 3.0, 4.0, 5.0, bad]), np.zeros(6))
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(np.zeros(6), np.array([1.0, 2.0, 3.0, 4.0, 5.0, bad]))
     # 4 non-zero diffs among 8 pairs is still too few
     b = a.copy()
     b[:4] += 1.0

@@ -216,13 +216,14 @@ def test_default_scale_and_threshold_from_data():
     assert m.hit_threshold == 3.0  # scale midpoint
 
 
-def test_predict_raw_bias_only_fallback():
+def test_predict_raw_rejects_ids_outside_the_model():
     m = _model()
-    known = m.predict_raw(0, 0)
-    assert known != m.global_mean
-    assert m.predict_raw(99, 0) == m.global_mean + m.item_bias[0]
-    assert m.predict_raw(0, 99) == m.global_mean + m.user_bias[0]
-    assert m.predict_raw(99, 99) == m.global_mean
+    # mean, user bias, item bias, then the dot product, in that order
+    want = m.global_mean + m.user_bias[1] + m.item_bias[2]
+    assert m.predict_raw(1, 2) == float(want + float(m.user_factors[1] @ m.item_factors[2]))
+    for user, item in ((4, 0), (0, 6), (-1, 0), (0, -1), (99, 99)):
+        with pytest.raises(IndexError, match=rf"user {user}, item {item}"):
+            m.predict_raw(user, item)
 
 
 def test_instinctive_reward_normalization():

@@ -1,6 +1,8 @@
 """Synthetic world generator tests: rating structure, graph wiring,
 sparsity controls, spec parsing and file round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,28 @@ def test_written_files_are_byte_identical_across_runs(tmp_path):
             assert f1.read() == f2.read()
     leftovers = [n for n in (tmp_path / "a").iterdir() if ".tmp." in n.name]
     assert leftovers == []
+
+
+# The acceptance world (tests/test_acceptance.py WORLD) and the benchmark's
+# wide world at seed 3; every pinned curve and bench digest starts from
+# these bytes. The values are the first 16 hex digits of each file's SHA-256.
+PINNED_WORLDS = [
+    (SynthSpec(clusters=5, items_per_cluster=10, users=250, home_ratings_per_user=2,
+               out_ratings_per_user=2, noise=0.5, also_viewed_rate=0.6, seed=1),
+     {"ratings": "0526caeacda16226", "triples": "bf8e93805f5590f0",
+      "links": "0e58cf8bfb623326"}),
+    (SynthSpec(clusters=20, items_per_cluster=100, users=500, home_ratings_per_user=20,
+               out_ratings_per_user=10, also_viewed_rate=0.3, seed=3),
+     {"ratings": "3b30d24f9f258b59", "triples": "166e3fe5f1087f3d",
+      "links": "9366a2e0f4631fa2"}),
+]
+
+
+@pytest.mark.parametrize("spec, digests", PINNED_WORLDS, ids=["accept", "wide"])
+def test_written_worlds_keep_their_bytes(tmp_path, spec, digests):
+    paths = write_dataset(str(tmp_path), generate(spec))
+    got = {}
+    for role, path in paths.items():
+        with open(path, "rb") as fh:
+            got[role] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    assert got == digests

@@ -1,7 +1,8 @@
 """The text formats: a failed atomic write keeps the old file and leaves no
 temporary file behind, malformed CSV, TSV and config input raises
-ValueError naming its file and line, every reader skips blank and
-whitespace-only lines, and flat text reads back or refuses to be written."""
+ValueError naming its file and line, the row reader skips blank and
+whitespace-only lines, written rows read back, and flat text reads back
+or refuses to be written."""
 
 import os
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from kgrec.experiments import _read_per_user
 from kgrec.synth import SynthSpec
-from kgrec.textio import (atomic_open, atomic_write, csv_text, field_casters, flat_text,
-                          parse_flat, read_csv, read_tsv)
+from kgrec.textio import (atomic_open, atomic_write, field_casters, flat_text, parse_flat,
+                          read_rows, rows_text)
 
 
 def test_failed_write_keeps_old_bytes_and_no_temporary_file(tmp_path):
@@ -83,12 +84,12 @@ def test_malformed_per_user_rows_raise_with_their_line(tmp_path_factory, data, r
         cells[column] = data.draw(junk if kind == "junk" else
                                   st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
         bad = ",".join(cells)
-    text, lineno = _with_line(csv_text(HEADER, rows).splitlines()[1:], bad, data, first=2)
+    text, lineno = _with_line(rows_text(rows).splitlines(), bad, data, first=2)
     path = tmp_path_factory.mktemp("per_user") / "report_users.csv"
     path.write_text(f"{HEADER}\n{text}")
     _raises_at(lambda: _read_per_user(str(path)), path, lineno)
     if kind == "width":
-        _raises_at(lambda: read_csv(str(path), HEADER), path, lineno)
+        _raises_at(lambda: list(read_rows(str(path), ",", (4,), HEADER, HEADER)), path, lineno)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,12 +104,12 @@ def test_malformed_tsv_rows_raise_with_their_line(tmp_path_factory, data, widths
     text, lineno = _with_line(good, bad, data, first=1)
     path = tmp_path_factory.mktemp("tsv") / "rows.tsv"
     path.write_text(text)
-    _raises_at(lambda: list(read_tsv(str(path), widths, "a row")), path, lineno)
+    _raises_at(lambda: list(read_rows(str(path), "\t", widths, "a row")), path, lineno)
     # without the bad line, exactly the good rows come back, at their lines
     body = _strewn(good, data)
     path.write_text("".join(f"{line}\n" for line in body))
     want = [(n, line.split("\t")) for n, line in enumerate(body, start=1) if line.strip()]
-    assert list(read_tsv(str(path), widths, "a row")) == want
+    assert list(read_rows(str(path), "\t", widths, "a row")) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,11 +155,11 @@ def test_flat_text_rejects_a_value_that_would_not_read_back(value):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), rows=per_user_rows)
-def test_csv_text_round_trips_through_read_csv(tmp_path_factory, data, rows):
-    body = _strewn(csv_text(HEADER, rows).splitlines()[1:], data)
+def test_rows_text_round_trips_through_read_rows(tmp_path_factory, data, rows):
+    body = _strewn(rows_text(rows).splitlines(), data)
     path = tmp_path_factory.mktemp("round_trip") / "report_users.csv"
     path.write_text("".join(f"{line}\n" for line in [HEADER, *body]))
-    read = read_csv(str(path), HEADER)
+    read = list(read_rows(str(path), ",", (4,), HEADER, HEADER))
     assert [lineno for lineno, _ in read] == [n for n, line in enumerate(body, start=2)
                                               if line.strip()]
     assert [(int(u), *map(float, metrics)) for _, (u, *metrics) in read] == rows
@@ -166,3 +167,24 @@ def test_csv_text_round_trips_through_read_csv(tmp_path_factory, data, rows):
     assert users.tolist() == [u for u, *_ in rows]
     for k, column in enumerate(metrics, start=1):
         assert column.tolist() == [row[k] for row in rows]
+
+
+def test_read_rows_keeps_field_whitespace_and_compares_the_header_stripped(tmp_path):
+    tsv = tmp_path / "rows.tsv"
+    tsv.write_text(" a \t b \n \n\tc \n")
+    assert list(read_rows(str(tsv), "\t", (2,), "a row")) == [(1, [" a ", " b "]),
+                                                             (3, ["", "c "])]
+    csv = tmp_path / "report_users.csv"
+    csv.write_text(f"  {HEADER} \n7,0.5,0.25,0.125\n")
+    assert list(read_rows(str(csv), ",", (4,), HEADER, HEADER)) == [
+        (2, ["7", "0.5", "0.25", "0.125"])]
+    csv.write_text("user,reward\n7,0.5\n")
+    with pytest.raises(ValueError) as err:
+        list(read_rows(str(csv), ",", (4,), HEADER, HEADER))
+    assert "'user,reward'" in str(err.value) and repr(HEADER) in str(err.value)
+
+
+def test_numpy_scalars_are_written_as_plain_numbers():
+    assert rows_text([(np.float64(0.5), np.int64(3))], "a,b") == "a,b\n0.5,3\n"
+    assert rows_text([("i0", np.float64(-0.1))], sep="\t") == "i0\t-0.1\n"
+    assert flat_text([("x", np.float64(0.25))]) == "x = 0.25\n"
