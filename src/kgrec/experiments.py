@@ -11,6 +11,7 @@ import hashlib
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -172,7 +173,9 @@ def ingest(config: ExperimentConfig) -> Dataset:
     Items with no graph link are retained in the catalog but counted and
     excluded from graph-based candidate selection.
     """
-    rows = []
+    user_ids: dict[str, int] = {}
+    item_ids: dict[str, int] = {}
+    users, items, ratings, stamps = array("q"), array("q"), array("d"), array("d")
     what = "user<TAB>item<TAB>rating[<TAB>timestamp]"
     for lineno, parts in read_rows(config.ratings, "\t", (3, 4), what):
         try:
@@ -182,38 +185,40 @@ def ingest(config: ExperimentConfig) -> Dataset:
             raise ValueError(f"{config.ratings}:{lineno}: non-numeric rating or timestamp") from None
         if not (math.isfinite(rating) and math.isfinite(stamp)):
             raise ValueError(f"{config.ratings}:{lineno}: non-finite rating or timestamp")
-        rows.append((stamp, lineno, parts[0], parts[1], rating))
-    if not rows:
+        users.append(user_ids.setdefault(parts[0], len(user_ids)))
+        items.append(item_ids.setdefault(parts[1], len(item_ids)))
+        ratings.append(rating)
+        stamps.append(stamp)
+    if not users:
         raise ValueError(f"{config.ratings}: no interactions")
-    rows.sort(key=lambda row: (row[0], row[1]))
+    # a stable sort keeps file order among equal timestamps
+    order = np.argsort(np.frombuffer(stamps), kind="stable")
+    del stamps
+    users = np.frombuffer(users, dtype=np.int64)[order]
+    items = np.frombuffer(items, dtype=np.int64)[order]
+    ratings = np.frombuffer(ratings)[order]
+    del order
 
     if config.min_user_interactions > 0:
-        counts: dict[str, int] = {}
-        for _, _, user, _, _ in rows:
-            counts[user] = counts.get(user, 0) + 1
-        before = len({user for _, _, user, _, _ in rows})
-        rows = [row for row in rows if counts[row[2]] >= config.min_user_interactions]
-        if not rows:
+        counts = np.bincount(users, minlength=len(user_ids))
+        keep = counts[users] >= config.min_user_interactions
+        if not keep.any():
             raise ValueError(f"min_user_interactions={config.min_user_interactions} "
                              "filtered out every user")
-        kept = len({user for _, _, user, _, _ in rows})
-        if kept < before:
-            logger.info("min-interaction filter dropped %d of %d users", before - kept, before)
+        users, items, ratings = users[keep], items[keep], ratings[keep]
+        dropped = len(user_ids) - np.count_nonzero(counts >= config.min_user_interactions)
+        if dropped:
+            logger.info("min-interaction filter dropped %d of %d users", dropped, len(user_ids))
 
-    user_ids: dict[str, int] = {}
-    item_ids: dict[str, int] = {}
-    users, items, ratings = [], [], []
-    for _, _, user, item, rating in rows:
-        users.append(user_ids.setdefault(user, len(user_ids)))
-        items.append(item_ids.setdefault(item, len(item_ids)))
-        if config.binarize_threshold is not None:
-            rating = 1.0 if rating >= config.binarize_threshold else 0.0
-        ratings.append(rating)
+    users, user_tokens = _first_seen(users, list(user_ids))
+    items, item_tokens = _first_seen(items, list(item_ids))
+    item_ids = {tok: k for k, tok in enumerate(item_tokens)}
+    if config.binarize_threshold is not None:
+        ratings = np.where(ratings >= config.binarize_threshold, 1.0, 0.0)
 
     graph = None
     unlinked_count = len(item_ids)
     if config.triples and config.links:
-        triples = read_triples(config.triples)
         links: dict[int, str] = {}
         for item_tok, ent_tok in read_links(config.links).items():
             dense = item_ids.get(item_tok)
@@ -221,18 +226,26 @@ def ingest(config: ExperimentConfig) -> Dataset:
                 logger.info("link for item %r ignored: item absent from interactions", item_tok)
             else:
                 links[dense] = ent_tok
-        graph = build_graph(triples, links)
+        graph = build_graph(read_triples(config.triples), links)
         unlinked_count = len(item_ids) - len(links)
         if unlinked_count:
             logger.warning("%d of %d items have no graph link; they stay in the catalog "
                            "but not in graph candidate sets", unlinked_count, len(item_ids))
 
-    return Dataset(users=np.asarray(users, dtype=np.int64),
-                   items=np.asarray(items, dtype=np.int64),
-                   ratings=np.asarray(ratings, dtype=np.float64),
-                   n_users=len(user_ids), n_items=len(item_ids), graph=graph,
-                   unlinked_count=unlinked_count,
-                   user_tokens=list(user_ids), item_tokens=list(item_ids))
+    return Dataset(users=users, items=items, ratings=ratings,
+                   n_users=len(user_tokens), n_items=len(item_tokens), graph=graph,
+                   unlinked_count=unlinked_count, user_tokens=user_tokens,
+                   item_tokens=item_tokens)
+
+
+def _first_seen(ids: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, list[str]]:
+    """`ids` renumbered 0, 1, ... in order of first appearance, and the token
+    of each new id (`tokens[old id]`)."""
+    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    new = np.empty(len(old), dtype=np.int64)
+    new[by_first] = np.arange(len(old))
+    return new[inverse], [tokens[k] for k in old[by_first].tolist()]
 
 
 def build_environment(ds: Dataset, config: ExperimentConfig) -> Environment:

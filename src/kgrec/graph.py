@@ -7,8 +7,9 @@ tied to entities through an injective link map.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -117,9 +118,9 @@ class KnowledgeGraph:
         return row
 
 
-def read_triples(path: str) -> list[tuple[str, str, str]]:
-    """The head<TAB>relation<TAB>tail rows of a triples file."""
-    return [tuple(parts) for _, parts in read_rows(path, "\t", (3,), "head<TAB>relation<TAB>tail")]
+def read_triples(path: str) -> Iterator[list[str]]:
+    """The head<TAB>relation<TAB>tail rows of a triples file, as read."""
+    return (parts for _, parts in read_rows(path, "\t", (3,), "head<TAB>relation<TAB>tail"))
 
 
 def read_links(path: str) -> dict[str, str]:
@@ -133,8 +134,7 @@ def read_links(path: str) -> dict[str, str]:
     return links
 
 
-def build_graph(triples: Iterable[tuple[Hashable, Hashable, Hashable]],
-                links: dict) -> KnowledgeGraph:
+def build_graph(triples: Iterable[Sequence[Hashable]], links: dict) -> KnowledgeGraph:
     """Construct a graph from token triples and an item -> entity-token map.
 
     Tokens are re-indexed densely in first-seen order (head, relation,
@@ -143,23 +143,20 @@ def build_graph(triples: Iterable[tuple[Hashable, Hashable, Hashable]],
     """
     ent_ids: dict = {}
     rel_ids: dict = {}
-    rows = []
+    ids = array("q")  # head, relation, tail id per triple
     for h, r, t in triples:
-        for tok in (h, t):
-            if tok not in ent_ids:
-                ent_ids[tok] = len(ent_ids)
-        if r not in rel_ids:
-            rel_ids[r] = len(rel_ids)
-        rows.append((ent_ids[h], rel_ids[r], ent_ids[t]))
-    if not rows:
+        ids.append(ent_ids.setdefault(h, len(ent_ids)))
+        ids.append(rel_ids.setdefault(r, len(rel_ids)))
+        ids.append(ent_ids.setdefault(t, len(ent_ids)))
+    if not ids:
         raise ValueError("empty graph: no triples")
     item_to_entity = {}
     for item, ent_tok in links.items():
         if ent_tok not in ent_ids:
             raise ValueError(f"dangling link: item {item!r} names unknown entity {ent_tok!r}")
         item_to_entity[item] = ent_ids[ent_tok]
-    return KnowledgeGraph(np.array(rows, dtype=np.int64), len(ent_ids), len(rel_ids),
-                          item_to_entity,
+    return KnowledgeGraph(np.frombuffer(ids, dtype=np.int64).reshape(-1, 3), len(ent_ids),
+                          len(rel_ids), item_to_entity,
                           entity_tokens=[str(t) for t in ent_ids],
                           relation_tokens=[str(t) for t in rel_ids])
 

@@ -14,6 +14,8 @@ _CASTS = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOLS[v.low
           "tuple[int, ...]": lambda v: tuple(int(tok) for tok in v.split(",") if tok.strip())}
 # a `#` at the start of a line or after whitespace starts a comment
 _COMMENT = re.compile(r"(?:^|\s)#")
+# the lone surrogates that the surrogateescape handler reads bytes as
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def _or_none(cast):
@@ -87,23 +89,31 @@ def _format_value(value) -> str:
 def read_rows(path: str, sep: str, widths: tuple[int, ...], what: str,
               header: str | None = None) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) per non-blank line of a UTF-8 file, split on
-    `sep` and read as iterated; a line of only whitespace is blank. With
-    `header`, the first line (stripped) must be it and rows count from
-    line 2. A field count outside `widths` raises ValueError with the path
-    and line."""
-    with open(path, encoding="utf-8") as fh:
-        if header is not None:
-            first = fh.readline().strip()
-            if first != header:
-                raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
-        for lineno, line in enumerate(fh, start=1 if header is None else 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(sep)
-            if len(parts) not in widths:
-                raise ValueError(f"{path}:{lineno}: expected {what}, "
-                                 f"got {len(parts)} fields separated by {sep!r}")
-            yield lineno, parts
+    `sep` and read as iterated; a leading byte-order mark is dropped, and a
+    line of only whitespace is blank. With `header`, the first line
+    (stripped) must be it and rows count from line 2. A field count outside
+    `widths` or a byte sequence that is not UTF-8 raises ValueError with
+    the path and line."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            if header is not None:
+                first = fh.readline().strip()
+                if first != header:
+                    raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
+            for lineno, line in enumerate(fh, start=1 if header is None else 2):
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split(sep)
+                if len(parts) not in widths:
+                    raise ValueError(f"{path}:{lineno}: expected {what}, "
+                                     f"got {len(parts)} fields separated by {sep!r}")
+                yield lineno, parts
+    except UnicodeDecodeError:
+        # read again with each undecodable byte as a lone surrogate, which
+        # valid UTF-8 never decodes to; lines count as in the first read
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            lineno = next(n for n, line in enumerate(fh, start=1) if _ESCAPED.search(line))
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
 
 
 def rows_text(rows, header: str | None = None, sep: str = ",") -> str:

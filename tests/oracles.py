@@ -1,6 +1,7 @@
 """Straightforward reference forms of the package's batched and cached paths.
 
-The exact forms here (the per-entity successor lists and the COO-built
+The exact forms here (the tuple-per-row set-up of `ingest` and
+`build_graph`, the per-entity successor lists and the COO-built
 neighbor-mean operator of the graph, the set BFS of candidate selection,
 the per-rating simulator fit, the `np.add.at` TransE scatter, the
 `np.isin` catalog fallback, the per-op taped GCN propagation and GRU
@@ -18,14 +19,16 @@ taped sigmoid and tanh of the per-op GRU, a single action pick, the
 simulator's batch MF loss and a curve CSV reader.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sparse
 
 from kgrec.agent import CurvePoint, build_candidates, q_rows
 from kgrec.autodiff import Tensor, sigmoid
 from kgrec.encoder import padded_rows
-from kgrec.experiments import CURVE_HEADER
-from kgrec.graph import CandidateSet, k_hop_sets
+from kgrec.experiments import CURVE_HEADER, Dataset
+from kgrec.graph import CandidateSet, KnowledgeGraph, k_hop_sets, read_links
 from kgrec.simulator import SimulatorModel, reset, step
 from kgrec.textio import read_rows
 
@@ -425,3 +428,81 @@ def read_curve(path):
     return [CurvePoint(interactions=int(inter), reward=float(reward),
                        precision=float(precision), recall=float(recall))
             for _, (inter, reward, precision, recall, _) in rows]
+
+
+def ingest_rows(config):
+    """`kgrec.experiments.ingest` over one tuple per rating: the rows sorted
+    by (timestamp, line), the filter and the first-seen ids over tuples,
+    and the graph from `build_graph_rows`."""
+    rows = []
+    what = "user<TAB>item<TAB>rating[<TAB>timestamp]"
+    for lineno, parts in read_rows(config.ratings, "\t", (3, 4), what):
+        try:
+            rating = float(parts[2])
+            stamp = float(parts[3]) if len(parts) == 4 else 0.0
+        except ValueError:
+            raise ValueError(f"{config.ratings}:{lineno}: non-numeric rating or timestamp") from None
+        if not (math.isfinite(rating) and math.isfinite(stamp)):
+            raise ValueError(f"{config.ratings}:{lineno}: non-finite rating or timestamp")
+        rows.append((stamp, lineno, parts[0], parts[1], rating))
+    if not rows:
+        raise ValueError(f"{config.ratings}: no interactions")
+    rows.sort(key=lambda row: (row[0], row[1]))
+
+    if config.min_user_interactions > 0:
+        counts = {}
+        for _, _, user, _, _ in rows:
+            counts[user] = counts.get(user, 0) + 1
+        rows = [row for row in rows if counts[row[2]] >= config.min_user_interactions]
+        if not rows:
+            raise ValueError(f"min_user_interactions={config.min_user_interactions} "
+                             "filtered out every user")
+
+    user_ids, item_ids = {}, {}
+    users, items, ratings = [], [], []
+    for _, _, user, item, rating in rows:
+        users.append(user_ids.setdefault(user, len(user_ids)))
+        items.append(item_ids.setdefault(item, len(item_ids)))
+        if config.binarize_threshold is not None:
+            rating = 1.0 if rating >= config.binarize_threshold else 0.0
+        ratings.append(rating)
+
+    graph = None
+    unlinked_count = len(item_ids)
+    if config.triples and config.links:
+        triples = [tuple(parts) for _, parts in
+                   read_rows(config.triples, "\t", (3,), "head<TAB>relation<TAB>tail")]
+        links = {item_ids[item]: ent for item, ent in read_links(config.links).items()
+                 if item in item_ids}
+        graph = build_graph_rows(triples, links)
+        unlinked_count = len(item_ids) - len(links)
+    return Dataset(users=np.asarray(users, dtype=np.int64),
+                   items=np.asarray(items, dtype=np.int64),
+                   ratings=np.asarray(ratings, dtype=np.float64),
+                   n_users=len(user_ids), n_items=len(item_ids), graph=graph,
+                   unlinked_count=unlinked_count,
+                   user_tokens=list(user_ids), item_tokens=list(item_ids))
+
+
+def build_graph_rows(triples, links):
+    """`kgrec.graph.build_graph` over a list of id tuples, one per triple."""
+    ent_ids, rel_ids = {}, {}
+    rows = []
+    for h, r, t in triples:
+        for tok in (h, t):
+            if tok not in ent_ids:
+                ent_ids[tok] = len(ent_ids)
+        if r not in rel_ids:
+            rel_ids[r] = len(rel_ids)
+        rows.append((ent_ids[h], rel_ids[r], ent_ids[t]))
+    if not rows:
+        raise ValueError("empty graph: no triples")
+    item_to_entity = {}
+    for item, ent_tok in links.items():
+        if ent_tok not in ent_ids:
+            raise ValueError(f"dangling link: item {item!r} names unknown entity {ent_tok!r}")
+        item_to_entity[item] = ent_ids[ent_tok]
+    return KnowledgeGraph(np.array(rows, dtype=np.int64), len(ent_ids), len(rel_ids),
+                          item_to_entity,
+                          entity_tokens=[str(t) for t in ent_ids],
+                          relation_tokens=[str(t) for t in rel_ids])

@@ -1,8 +1,9 @@
 """The text formats: a failed atomic write keeps the old file and leaves no
-temporary file behind, malformed CSV, TSV and config input raises
-ValueError naming its file and line, the row reader skips blank and
-whitespace-only lines, written rows read back, and flat text reads back
-or refuses to be written."""
+temporary file behind, malformed CSV, TSV and config input (bytes that are
+not UTF-8 too) raises ValueError naming its file and line, the row reader
+skips blank and whitespace-only lines and a leading byte-order mark,
+written rows read back, and flat text reads back or refuses to be
+written."""
 
 import os
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgrec.experiments import _read_per_user
-from kgrec.synth import SynthSpec
+from kgrec.experiments import ExperimentConfig, _read_per_user, ingest
+from kgrec.graph import read_triples
+from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.textio import (atomic_open, atomic_write, field_casters, flat_text, parse_flat,
                           read_rows, rows_text)
 
@@ -188,3 +190,59 @@ def test_numpy_scalars_are_written_as_plain_numbers():
     assert rows_text([(np.float64(0.5), np.int64(3))], "a,b") == "a,b\n0.5,3\n"
     assert rows_text([("i0", np.float64(-0.1))], sep="\t") == "i0\t-0.1\n"
     assert flat_text([("x", np.float64(0.25))]) == "x = 0.25\n"
+
+
+# (header, row k) of each file kind the row reader serves
+ROW_FILES = {"ratings": (None, lambda k: f"u{k % 7}\ti{k}\t4.0"),
+             "triples": (None, lambda k: f"e{k}\tr\te{k + 1}"),
+             "per_user": (HEADER, lambda k: f"{k},0.5,0.25,0.125")}
+
+
+def _read_file(kind, path):
+    if kind == "ratings":
+        return ingest(ExperimentConfig(ratings=path))
+    if kind == "triples":
+        return list(read_triples(path))
+    return _read_per_user(path)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_FILES))
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad, at, rows", [(b"\xff", 1, 3), (b"\xed\xa0\x80", 2, 3),
+                                           (b"\xe2\x82", 2, 3), (b"\xc3", 1_500, 2_000)])
+def test_bytes_that_are_not_utf8_raise_with_their_line(tmp_path, kind, newline, bad, at, rows):
+    # a bad byte in row `at`: on the first line, inside a row, at the end of
+    # the file (a cut sequence), and past the reader's first decoded block
+    header, row = ROW_FILES[kind]
+    lines = [row(k).encode() for k in range(rows)]
+    lines[at] = lines[at][:2] + bad + lines[at][2:] if at < rows - 1 else lines[at] + bad
+    lines = ([] if header is None else [header.encode()]) + lines
+    end = newline.encode()
+    text = end.join(lines) + (end if at < rows - 1 else b"")
+    path = tmp_path / "rows.txt"
+    path.write_bytes(text)
+    lineno = at + 1 + (header is not None)
+    with pytest.raises(ValueError, match=f"^{path}:{lineno}: not valid UTF-8$"):
+        _read_file(kind, str(path))
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_field(tmp_path):
+    paths = write_dataset(str(tmp_path / "plain"), generate(SynthSpec(users=20, seed=4)))
+    marked = {}
+    for role, path in paths.items():
+        marked[role] = str(tmp_path / f"bom_{role}.tsv")
+        with open(path, "rb") as src, open(marked[role], "wb") as dst:
+            dst.write(b"\xef\xbb\xbf" + src.read())
+    plain, bom = (ingest(ExperimentConfig(**files)) for files in (paths, marked))
+    for name in ("users", "items", "ratings"):
+        assert getattr(bom, name).tobytes() == getattr(plain, name).tobytes()
+    assert (bom.user_tokens, bom.item_tokens) == (plain.user_tokens, plain.item_tokens)
+    assert (bom.n_users, bom.n_items, bom.unlinked_count) == (plain.n_users, plain.n_items, 0)
+    assert bom.graph.triples.tobytes() == plain.graph.triples.tobytes()
+    assert bom.graph.entity_tokens == plain.graph.entity_tokens
+    assert bom.graph.item_to_entity == plain.graph.item_to_entity
+
+    per_user = tmp_path / "report_users.csv"
+    per_user.write_bytes(f"\ufeff{HEADER}\n7,0.5,0.25,0.125\n".encode())
+    users, *metrics = _read_per_user(str(per_user))
+    assert users.tolist() == [7] and [m.tolist() for m in metrics] == [[0.5], [0.25], [0.125]]
