@@ -1,10 +1,12 @@
 """Knowledge-graph-enhanced deep Q-learning for interactive recommendation.
 
-A self-contained numpy/scipy laboratory: taped reverse-mode autodiff,
-a triple store with translational embeddings, graph-convolution and
-recurrent state encoders, a dueling double-DQN agent with hop-limited
-candidate selection, a matrix-factorization feedback simulator, and the
-experiment orchestration gluing them together.
+A self-contained numpy laboratory: taped reverse-mode autodiff, a triple
+store with translational embeddings, graph-convolution and recurrent state
+encoders, a dueling double-DQN agent with hop-limited candidate selection,
+a matrix-factorization feedback simulator, and the experiment
+orchestration gluing them together. Of scipy it loads only the compiled
+sparse product kernels (`kgrec.csr`), by file path, so importing kgrec
+imports no scipy module.
 """
 
 from .autodiff import Tape, Tensor

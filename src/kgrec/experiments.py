@@ -21,7 +21,8 @@ from .agent import (CurvePoint, Environment, TrainConfig, TrainSettings, save_ch
 from .graph import KnowledgeGraph, build_graph, read_links, read_triples
 from .metrics import PER_USER_HEADER, EvaluationReport, build_report, wilcoxon_signed_rank
 from .simulator import fit_mf, popularity_table, split_users
-from .textio import atomic_write, field_casters, flat_text, parse_flat, read_rows, rows_text
+from .textio import (atomic_write, field_casters, flat_text, parse_flat, read_rows, read_text,
+                     rows_text)
 
 logger = logging.getLogger("kgrec.experiments")
 
@@ -141,9 +142,8 @@ def parse_config_text(text: str, base_dir: str = ".", source: str = "<config>") 
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)), source=path)
+    return parse_config_text(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)),
+                             source=path)
 
 
 # -- ingestion -----------------------------------------------------------

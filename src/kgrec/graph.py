@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
+from .csr import CsrOperator
 from .textio import read_rows
 
 
@@ -38,8 +38,8 @@ class KnowledgeGraph:
         entity_to_item: the inverse map.
         linked_items: the linked items, ascending (empty int64 without links).
         linked_entities: the entity of each of `linked_items`.
-        mean_adjacency: row-stochastic neighbor-mean operator (CSR); rows
-            without neighbors are zero.
+        mean_adjacency: row-stochastic neighbor-mean operator (a
+            `CsrOperator`); rows without neighbors are zero.
     """
 
     def __init__(self, triples: np.ndarray, n_entities: int, n_relations: int,
@@ -76,9 +76,9 @@ class KnowledgeGraph:
         heads, self._tails = np.divmod(pairs, self.n_entities)
         self._tails.setflags(write=False)
         self._indptr = np.searchsorted(heads, np.arange(self.n_entities + 1))
-        self.mean_adjacency = sparse.csr_matrix(
-            (1.0 / np.diff(self._indptr)[heads], self._tails, self._indptr),
-            shape=(self.n_entities, self.n_entities))
+        self.mean_adjacency = CsrOperator(self._indptr, self._tails,
+                                          1.0 / np.diff(self._indptr)[heads],
+                                          (self.n_entities, self.n_entities))
 
         items = sorted(self.item_to_entity)
         self.linked_items = np.array(items) if items else np.empty(0, dtype=np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import atomic_write, field_casters, parse_flat, rows_text
+from .textio import atomic_write, field_casters, parse_flat, read_text, rows_text
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,7 @@ def generate(spec: SynthSpec) -> SynthData:
 
 def parse_spec(path: str) -> SynthSpec:
     """Read a flat `key = value` spec file; unknown keys are rejected."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    spec = SynthSpec(**parse_flat(text, field_casters(SynthSpec), path))
+    spec = SynthSpec(**parse_flat(read_text(path), field_casters(SynthSpec), path))
     spec.validate()
     return spec
 

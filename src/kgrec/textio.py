@@ -109,11 +109,26 @@ def read_rows(path: str, sep: str, widths: tuple[int, ...], what: str,
                                      f"got {len(parts)} fields separated by {sep!r}")
                 yield lineno, parts
     except UnicodeDecodeError:
-        # read again with each undecodable byte as a lone surrogate, which
-        # valid UTF-8 never decodes to; lines count as in the first read
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            lineno = next(n for n, line in enumerate(fh, start=1) if _ESCAPED.search(line))
-        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+        raise _not_utf8(path) from None
+
+
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 file, read as `read_rows` reads it: without a
+    leading byte-order mark, and ValueError("path:line: not valid UTF-8")
+    for bytes that are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> ValueError:
+    # read again with each undecodable byte as a lone surrogate, which
+    # valid UTF-8 never decodes to; lines count as in the first read
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = next(n for n, line in enumerate(fh, start=1) if _ESCAPED.search(line))
+    return ValueError(f"{path}:{lineno}: not valid UTF-8")
 
 
 def rows_text(rows, header: str | None = None, sep: str = ",") -> str:

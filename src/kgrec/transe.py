@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
+from .csr import CsrOperator
 from .graph import KnowledgeGraph
 
 
@@ -44,6 +44,8 @@ def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,
 
     `pos` and `neg` are (n, 3) id arrays; row i of `neg` is the corrupted
     version of row i of `pos`. Returns (loss, d_entities, d_relations).
+    An id outside its table raises ValueError naming its column, before
+    any work.
 
     Each gradient element sums its terms from 0.0 in a fixed order:
     positive heads, positive tails, negative heads, negative tails for
@@ -53,9 +55,19 @@ def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,
     """
     pos = np.asarray(pos, dtype=np.int64)
     neg = np.asarray(neg, dtype=np.int64)
+    if pos.ndim != 2 or pos.shape[1] != 3 or neg.shape != pos.shape:
+        raise ValueError(f"transe_loss_and_grads: pos and neg must both be (n, 3), "
+                         f"got {pos.shape} and {neg.shape}")
     n = pos.shape[0]
+    n_ent = entities.shape[0]
     # rows 0..n-1 hold the positive triples, rows n..2n-1 the negative ones
     h, r, t = np.concatenate([pos, neg]).T.copy()
+    for ids, bound, column in ((h, n_ent, "head"), (r, relations.shape[0], "relation"),
+                               (t, n_ent, "tail")):
+        if n and (ids.min() < 0 or ids.max() >= bound):
+            k = int(np.flatnonzero((ids < 0) | (ids >= bound))[0])
+            raise ValueError(f"transe_loss_and_grads: {'neg' if k >= n else 'pos'}[{k % n}] "
+                             f"{column} id {ids[k]} outside [0, {bound})")
     diff = np.take(entities, h, axis=0)
     diff += np.take(relations, r, axis=0)
     diff -= np.take(entities, t, axis=0)
@@ -71,7 +83,6 @@ def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,
     diff[n:] *= w
     # one signed term per (gradient row, diff row), listed in summation order;
     # relation rows follow the entity rows
-    n_ent = entities.shape[0]
     src = np.arange(2 * n)
     one = np.ones(n)
     rows = np.concatenate([h[:n], t[:n], h[n:], t[n:], n_ent + r[:n], n_ent + r[n:]])
@@ -81,8 +92,8 @@ def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,
     return loss, grads[:n_ent], grads[n_ent:]
 
 
-def _ordered_incidence(rows, cols, data, n_rows: int, n_cols: int) -> sparse.csr_array:
-    """CSR matrix with entry k at (rows[k], cols[k]), each row's entries kept
+def _ordered_incidence(rows, cols, data, n_rows: int, n_cols: int) -> CsrOperator:
+    """CSR operator with entry k at (rows[k], cols[k]), each row's entries kept
     in the order of k. Its product with a dense block adds each output
     element's terms from 0.0 in that order (one multiply by +-1.0 each,
     which is exact), without summing duplicates."""
@@ -91,7 +102,7 @@ def _ordered_incidence(rows, cols, data, n_rows: int, n_cols: int) -> sparse.csr
     order = np.argsort(rows.astype(np.min_scalar_type(n_rows)), kind="stable")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return sparse.csr_array((data[order], cols[order], indptr), shape=(n_rows, n_cols))
+    return CsrOperator(indptr, cols[order], data[order], (n_rows, n_cols))
 
 
 def transe_pretrain(g: KnowledgeGraph, cfg: TranseConfig, seed: int):

@@ -89,7 +89,8 @@ def q_value(state_vec, item_vec, qnet, tape):
 
 
 def matmul_const(tape, a_const, x):
-    """Taped product by a constant matrix (ndarray or scipy sparse); no
+    """Taped product by a constant matrix (an ndarray, a `kgrec.csr.CsrOperator`
+    such as `KnowledgeGraph.mean_adjacency`, or a scipy.sparse matrix); no
     gradient into the constant."""
     out = a_const @ x.data
     at = a_const.T

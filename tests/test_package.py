@@ -12,10 +12,6 @@ import pytest
 import kgrec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-# scipy subpackages `import kgrec` must not load: each costs resident memory
-# in every process (scipy.special alone about 5.7 MiB)
-HEAVY_SCIPY = ("scipy.special", "scipy.stats", "scipy.linalg", "scipy.sparse.linalg",
-               "scipy.sparse.csgraph")
 
 
 def test_every_exported_name_resolves():
@@ -23,12 +19,15 @@ def test_every_exported_name_resolves():
     assert [name for name in kgrec.__all__ if not hasattr(kgrec, name)] == []
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
+def test_import_loads_no_scipy_module():
+    # `import scipy.sparse` alone costs about 15 MiB of resident memory in
+    # every process; kgrec loads only scipy's compiled sparse kernels
     env = dict(os.environ, PYTHONPATH=str(Path(kgrec.__file__).resolve().parent.parent))
     code = "import sys, kgrec; print(' '.join(sorted(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
                             capture_output=True, text=True).stdout.split()
-    assert [name for name in HEAVY_SCIPY if name in loaded] == []
+    assert "kgrec.graph" in loaded
+    assert [name for name in loaded if name == "scipy" or name.startswith("scipy.")] == []
 
 
 @pytest.mark.parametrize("demo", ["01_taped_gradients.py", "02_graph_candidates.py",

@@ -1,19 +1,21 @@
 """The text formats: a failed atomic write keeps the old file and leaves no
 temporary file behind, malformed CSV, TSV and config input (bytes that are
 not UTF-8 too) raises ValueError naming its file and line, the row reader
-skips blank and whitespace-only lines and a leading byte-order mark,
+and the config and spec readers skip a leading byte-order mark, the row
+reader skips blank and whitespace-only lines,
 written rows read back, and flat text reads back or refuses to be
 written."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgrec.experiments import ExperimentConfig, _read_per_user, ingest
+from kgrec.experiments import ExperimentConfig, _read_per_user, ingest, parse_config
 from kgrec.graph import read_triples
-from kgrec.synth import SynthSpec, generate, write_dataset
+from kgrec.synth import SynthSpec, generate, parse_spec, write_dataset
 from kgrec.textio import (atomic_open, atomic_write, field_casters, flat_text, parse_flat,
                           read_rows, rows_text)
 
@@ -246,3 +248,34 @@ def test_a_byte_order_mark_is_not_part_of_the_first_field(tmp_path):
     per_user.write_bytes(f"\ufeff{HEADER}\n7,0.5,0.25,0.125\n".encode())
     users, *metrics = _read_per_user(str(per_user))
     assert users.tolist() == [7] and [m.tolist() for m in metrics] == [[0.5], [0.25], [0.125]]
+
+
+# (reader, text, the fields it sets) of each flat `key = value` file kind
+FLAT_FILES = {"config": (parse_config, "ratings = r.tsv\nbudget = 40\n",
+                         lambda cfg: (cfg.ratings, cfg.budget)),
+              "spec": (parse_spec, "users = 9\nclusters = 3\n",
+                       lambda spec: (spec.users, spec.clusters))}
+
+
+@pytest.mark.parametrize("kind", sorted(FLAT_FILES))
+def test_flat_files_drop_a_byte_order_mark(tmp_path, kind):
+    read, text, values = FLAT_FILES[kind]
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert values(read(str(marked))) == values(read(str(plain)))
+
+
+@pytest.mark.parametrize("kind", sorted(FLAT_FILES))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("at", [0, 1])
+def test_flat_files_with_bytes_that_are_not_utf8_raise_with_their_line(tmp_path, kind, newline,
+                                                                      at):
+    # the bad byte sits in a comment, so only the decoding can fail
+    read, text, _ = FLAT_FILES[kind]
+    lines = text.encode().splitlines()
+    lines[at] += b"  # caf\xff"
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{at + 1}: not valid UTF-8$"):
+        read(str(path))

@@ -178,3 +178,32 @@ def test_pretraining_accepts_boundary_settings():
     assert entities.shape == (g.n_entities, 1) and loss == 0.0
     _, _, loss = transe_pretrain(g, TranseConfig(dim=3, epochs=2, margin=-1.0), seed=0)
     assert loss == 0.0
+
+
+@pytest.mark.parametrize("side", ["pos", "neg"])
+@pytest.mark.parametrize("column, name", [(0, "head"), (1, "relation"), (2, "tail")])
+@pytest.mark.parametrize("high", [False, True])
+def test_loss_and_grads_reject_out_of_range_ids_before_work(side, column, name, high,
+                                                            monkeypatch):
+    rng = np.random.default_rng(37)
+    entities, relations = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+    pos = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 0]])
+    neg = pos.copy()
+    bound = 2 if column == 1 else 5
+    bad = bound if high else -1
+    (pos if side == "pos" else neg)[1, column] = bad
+
+    def no_scatter(*args):
+        raise AssertionError("the gradient scatter ran")
+
+    monkeypatch.setattr(transe_module, "_ordered_incidence", no_scatter)
+    with pytest.raises(ValueError, match=rf"{side}\[1\] {name} id {bad} outside \[0, {bound}\)"):
+        transe_loss_and_grads(entities, relations, pos, neg, 1.0)
+
+
+def test_loss_and_grads_reject_mismatched_batches():
+    entities, relations = np.ones((3, 2)), np.ones((1, 2))
+    pos = np.zeros((2, 3), dtype=np.int64)
+    for neg in (np.zeros((3, 3), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="pos and neg must both be"):
+            transe_loss_and_grads(entities, relations, pos, neg, 1.0)
