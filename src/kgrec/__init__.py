@@ -31,21 +31,6 @@ from .synth import SynthData, SynthSpec, generate, write_dataset
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState", "AgentParameters", "CandidateSet", "CurvePoint", "Dataset",
-    "EpisodeState", "Environment", "EvaluationReport", "Experience", "ExperimentConfig",
-    "GcnParameters", "GruParameters", "KnowledgeGraph", "Mlp", "QNetParameters",
-    "ReplayBuffer", "RunArtifacts", "SimulatorModel", "StepRecord", "SynthData",
-    "SynthSpec", "Tape", "Tensor", "TrainConfig", "TranseConfig", "adam_step",
-    "average_reward", "build_environment", "build_graph", "build_report",
-    "candidate_items", "compare", "encode_rows", "episode_reward",
-    "evaluate_policy", "fit_mf", "generate",
-    "ingest", "initialize_parameters", "instinctive_reward",
-    "interactions_to_threshold", "k_hop_sets", "load_checkpoint", "load_graph",
-    "parse_config", "popularity_table",
-    "precision_at_horizon", "preference_counts", "propagate_all", "q_rows",
-    "recall_at_horizon", "reset", "run_experiment", "save_checkpoint", "soft_update",
-    "split_users", "step", "sweep_candidates", "td_loss", "train",
-    "transe_loss_and_grads", "transe_pretrain", "variant_flags",
-    "wilcoxon_signed_rank", "write_dataset",
-]
+# every name imported above: the classes and functions defined in kgrec's modules
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith("kgrec."))

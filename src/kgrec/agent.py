@@ -770,10 +770,15 @@ _HEAD_FIELDS = ("vw1", "vb1", "vw2", "vb2", "aw1", "ab1", "aw2", "ab2")
 
 
 def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
-    """Restore (params, target, cfg, meta) saved by save_checkpoint.
-
-    meta carries config_hash, interactions and version."""
-    with np.load(path, allow_pickle=False) as data:
+    """Restore (params, target, cfg, meta) saved by save_checkpoint; meta
+    carries config_hash, interactions and version. A file that is no .npz
+    archive or lacks an array or meta key raises ValueError naming the path."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            data = dict(archive)
+    except (ValueError, TypeError) as err:  # TypeError: an .npy file, which has no `with`
+        raise ValueError(f"{path}: not a checkpoint archive: {err}") from None
+    try:
         meta = json.loads(str(data["meta"]))
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
@@ -801,3 +806,5 @@ def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
         params = AgentParameters(source=source, gru=gru, qnet=heads("q", True),
                                  version=int(meta["version"]))
         return params, heads("t", False), cfg, meta
+    except KeyError as missing:
+        raise ValueError(f"{path}: no {missing.args[0]!r} in the checkpoint") from None

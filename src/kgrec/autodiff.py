@@ -2,12 +2,13 @@
 
 The op set is what the training path uses: row-batched linear maps,
 elementwise add, sub, mul and relu, row gathering, column concatenation,
-reshapes and scalar reductions. Fused computations (a GCN hop, the GRU
-fold) record themselves through `Tape.emit` with a hand-written
-backward; so do the taped sigmoid and tanh of the per-op GRU that tests
-compare the fold against (`tests/oracles.py`). There is no general
-broadcasting; shapes must match exactly except where an op documents
-otherwise. Every tensor and op result must be finite.
+reshapes and scalar reductions. Each records its inputs and a backward
+giving one gradient piece per input, in input order. Fused computations
+(a GCN hop, the GRU fold) record themselves through `Tape.emit` with a
+hand-written backward; so do the taped sigmoid and tanh of the per-op
+GRU that tests compare the fold against (`tests/oracles.py`). There is
+no general broadcasting; shapes must match exactly except where an op
+documents otherwise. Every tensor and op result must be finite.
 
 `sigmoid` is the package's one logistic function (the GRU gates and the
 test oracles' taped op both call it), and `glorot_uniform` its one
@@ -77,7 +78,7 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
 
-_Pull = tuple[Tensor, Callable[[np.ndarray], np.ndarray]]
+Backward = Callable[[np.ndarray], Iterable[np.ndarray]]
 
 
 class Tape:
@@ -89,19 +90,20 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[_Pull, ...]]] = []
+        self._ops: list[tuple[Tensor, tuple[Tensor, ...], Backward]] = []
         self._produced: set[int] = set()
         self._consumed = False
 
     # -- recording ---------------------------------------------------
 
-    def emit(self, name: str, out_data: np.ndarray, pulls: Iterable[_Pull]) -> Tensor:
-        """Record one op: its checked output and, per input, a pull from the
-        output's gradient to that input's gradient piece."""
+    def emit(self, name: str, out_data: np.ndarray, inputs: Iterable[Tensor],
+             backward: Backward) -> Tensor:
+        """Record one op: its checked output, its inputs, and a backward from the
+        output's gradient to one piece per input (a tuple, or a generator)."""
         out = Tensor.__new__(Tensor)
         out.data = checked(name, out_data)
         out.requires_grad = False
-        self._ops.append((out, tuple(pulls)))
+        self._ops.append((out, tuple(inputs), backward))
         self._produced.add(id(out))
         return out
 
@@ -117,32 +119,31 @@ class Tape:
         if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
             raise ValueError(f"linear: shapes disagree: x {xd.shape}, w {wd.shape}")
         out = xd @ wd.T
-        pulls = [(x, lambda g: g @ wd), (w, lambda g: g.T @ xd)]
-        if b is not None:
-            if b.data.shape != (wd.shape[0],):
-                raise ValueError(f"linear: bias shape {b.data.shape} does not match w {wd.shape}")
-            out = out + b.data
-            pulls.append((b, lambda g: g.sum(axis=0)))
-        return self.emit("linear", out, pulls)
+        if b is None:
+            return self.emit("linear", out, (x, w), lambda g: (g @ wd, g.T @ xd))
+        if b.data.shape != (wd.shape[0],):
+            raise ValueError(f"linear: bias shape {b.data.shape} does not match w {wd.shape}")
+        return self.emit("linear", out + b.data, (x, w, b),
+                         lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
 
-    def _binary(self, name, a, b, fwd, da, db):
+    def _binary(self, name, a, b, fwd, backward):
         if a.data.shape != b.data.shape:
             raise ValueError(f"{name}: shapes disagree: {a.data.shape} vs {b.data.shape}")
-        return self.emit(name, fwd(a.data, b.data), [(a, da(a, b)), (b, db(a, b))])
+        return self.emit(name, fwd(a.data, b.data), (a, b), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        return self._binary("add", a, b, np.add, lambda a_, b_: lambda g: g, lambda a_, b_: lambda g: g)
+        return self._binary("add", a, b, np.add, lambda g: (g, g))
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        return self._binary("sub", a, b, np.subtract, lambda a_, b_: lambda g: g, lambda a_, b_: lambda g: -g)
+        return self._binary("sub", a, b, np.subtract, lambda g: (g, -g))
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
-        return self._binary("mul", a, b, np.multiply, lambda a_, b_: lambda g: g * bd, lambda a_, b_: lambda g: g * ad)
+        return self._binary("mul", a, b, np.multiply, lambda g: (g * bd, g * ad))
 
     def relu(self, x: Tensor) -> Tensor:
         keep = x.data > 0.0
-        return self.emit("relu", np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
+        return self.emit("relu", np.where(keep, x.data, 0.0), (x,), lambda g: (g * keep,))
 
     def concat_cols(self, a: Tensor, b: Tensor) -> Tensor:
         """Concatenate two 2-D tensors along columns."""
@@ -150,7 +151,7 @@ class Tape:
             raise ValueError(f"concat_cols: shapes disagree: {a.data.shape}, {b.data.shape}")
         split = a.data.shape[1]
         out = np.concatenate([a.data, b.data], axis=1)
-        return self.emit("concat_cols", out, [(a, lambda g: g[:, :split]), (b, lambda g: g[:, split:])])
+        return self.emit("concat_cols", out, (a, b), lambda g: (g[:, :split], g[:, split:]))
 
     def gather_rows(self, x: Tensor, indices) -> Tensor:
         """Select rows by an integer array; repeated rows accumulate gradient."""
@@ -160,21 +161,21 @@ class Tape:
         if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
             raise IndexError(f"gather_rows: index out of range for {x.data.shape}")
         xd = x.data
-        return self.emit("gather_rows", xd[idx], [(x, lambda g: scatter_rows(xd, idx, g))])
+        return self.emit("gather_rows", xd[idx], (x,), lambda g: (scatter_rows(xd, idx, g),))
 
     def sum(self, x: Tensor) -> Tensor:
         xd = x.data
-        return self.emit("sum", np.asarray(xd.sum()), [(x, lambda g: np.full_like(xd, float(g)))])
+        return self.emit("sum", np.asarray(xd.sum()), (x,), lambda g: (np.full_like(xd, float(g)),))
 
     def mean(self, x: Tensor) -> Tensor:
         xd = x.data
         if xd.size == 0:
             raise ValueError("mean: empty tensor")
-        return self.emit("mean", np.asarray(xd.mean()), [(x, lambda g: np.full_like(xd, float(g) / xd.size))])
+        return self.emit("mean", np.asarray(xd.mean()), (x,), lambda g: (np.full_like(xd, float(g) / xd.size),))
 
     def reshape(self, x: Tensor, shape) -> Tensor:
         orig = x.data.shape
-        return self.emit("reshape", x.data.reshape(shape), [(x, lambda g: g.reshape(orig))])
+        return self.emit("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
 
     # -- backward ------------------------------------------------------
 
@@ -185,6 +186,7 @@ class Tape:
         in `wrt` always get an entry (zeros when the loss does not depend
         on them). A tape can be consumed exactly once; it drops each record
         as it replays it, so a consumed tape holds no intermediate values.
+        Records with no tracked input are skipped; a wrong piece count raises.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
@@ -193,13 +195,12 @@ class Tape:
         self._consumed = True
         grads: dict[Tensor, np.ndarray] = {loss: np.ones(())}
         while self._ops:
-            out, pulls = self._ops.pop()
+            out, inputs, backward = self._ops.pop()
             g = grads.pop(out, None)
-            if g is None:
+            if g is None or not any(map(self.tracks, inputs)):
                 continue
-            for inp, pull in pulls:
+            for inp, piece in zip(inputs, backward(g), strict=True):
                 if self.tracks(inp):
-                    piece = pull(g)
                     held = grads.get(inp)
                     grads[inp] = piece if held is None else held + piece
         result = {t: g for t, g in grads.items() if t.requires_grad}

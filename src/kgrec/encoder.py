@@ -6,8 +6,9 @@ tape record that keeps only its output and recomputes the neighbor mean in
 its backward (gcn_hop). One GRU definition (gru_gates) steps batches of
 rows: inference steps all the states it holds at once (gru_step_np), and
 the TD loss folds the padded history rows of padded_rows as one tape
-record with a hand-written BPTT (encode_rows). The per-op taped hop and
-fold and the per-state forms these are held to are in `tests/oracles.py`.
+record with a hand-written BPTT (encode_rows); both backwards are
+generators that do shared work once. The per-op taped hop and fold and
+the per-state forms these are held to are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -92,25 +93,24 @@ def gcn_hop(adj, x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
     """relu(adj @ x @ W.T + x @ B.T) as one tape record holding only its output.
 
     The forward runs and checks what the per-op taped hop in `tests/oracles.py`
-    does. The backward recomputes adj @ x and the relu mask (out > 0) and adds
-    the input's two pieces as that tape does: gs @ B + adj.T @ (gs @ W), gs the
-    masked output gradient. A hop's input feeds only the hop, so nothing lands
-    between the pieces and the bytes match.
+    does. The backward forms gs, the output gradient times the relu mask
+    (out > 0), once, and yields the input's piece with its two terms added as
+    that tape does, gs @ B + adj.T @ (gs @ W), then W's and B's, recomputing
+    adj @ x. A hop's input feeds only the hop, so nothing lands between the
+    terms and the bytes match.
     """
     xd, wd, bd = x.data, w.data, b.data
     nbr = checked("gcn_hop", adj @ xd)
     out = checked("gcn_hop", checked("gcn_hop", nbr @ wd.T) + checked("gcn_hop", xd @ bd.T))
     out = np.where(out > 0.0, out, 0.0)
-    masked = []
 
-    def gs(g):  # the output gradient times the relu mask, formed at the first pull
-        if not masked:
-            masked.append(g * (out > 0.0))
-        return masked[0]
+    def backward(g):
+        gs = g * (out > 0.0)
+        yield gs @ bd + adj.T @ (gs @ wd)
+        yield gs.T @ (adj @ xd)
+        yield gs.T @ xd
 
-    return tape.emit("gcn_hop", out, [(x, lambda g: gs(g) @ bd + adj.T @ (gs(g) @ wd)),
-                                      (w, lambda g: gs(g).T @ (adj @ xd)),
-                                      (b, lambda g: gs(g).T @ xd)])
+    return tape.emit("gcn_hop", out, (x, w, b), backward)
 
 
 def gru_gates(p: GruParameters, h: np.ndarray, x: np.ndarray):
@@ -141,8 +141,8 @@ def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
     `tests/oracles.py`, so the bytes match: steps in reverse; the hidden
     gradient as the (1 - mask), 1 - z and r terms, @ u_reset, @ u_update; the
     input's as @ w_cand, @ w_reset, @ w_update; parameters step T first. The
-    item matrix gets one pull per step, T first, each building its dense
-    scatter only when called.
+    record lists the GRU parameters, then a tracked item matrix once per step,
+    T first; each step's dense scatter is built only when the tape asks.
     """
     rows, valid = padded_rows(row_of, histories)
     h = np.zeros((len(histories), item_matrix.shape[1]))
@@ -161,12 +161,11 @@ def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
 
     w_u, u_u, _, w_r, u_r, _, w_c, u_c, _ = (t.data for t in gru.tensors())
     want_items = tape.tracks(item_matrix)
-    grads = []
 
-    def bptt(g):  # at the first pull: the 9 parameters' gradients, then each step's input rows'
-        if grads:
-            return grads
-        for h, x, mask, (z, r, cand) in reversed(saved):
+    def backward(g):
+        grads, step_grads = None, []
+        while saved:
+            h, x, mask, (z, r, cand) = saved.pop()
             gs = g * mask
             g_z = gs * cand - gs * h
             g_c = gs * z * (1.0 - cand * cand)
@@ -180,17 +179,15 @@ def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
                 for held, piece in zip(grads, pieces):
                     held += piece
             else:
-                grads.extend(pieces)
+                grads = pieces
             if want_items:
-                grads.append((g_c @ w_c + g_r @ w_r + g_z @ w_u) * mask)
-        saved.clear()
-        return grads
+                step_grads.append((g_c @ w_c + g_r @ w_r + g_z @ w_u) * mask)
+        yield from grads
+        for step_rows, step_grad in zip(rows[::-1], step_grads):
+            yield scatter_rows(matrix, step_rows, step_grad)
 
-    pulls = [(t, lambda g, k=k: bptt(g)[k]) for k, t in enumerate(gru.tensors())]
-    if want_items:
-        pulls += [(item_matrix, lambda g, k=k: scatter_rows(matrix, rows[-1 - k], bptt(g)[9 + k]))
-                  for k in range(len(rows))]
-    return tape.emit("encode_rows", h, pulls)
+    inputs = gru.tensors() + [item_matrix] * len(rows) if want_items else gru.tensors()
+    return tape.emit("encode_rows", h, inputs, backward)
 
 
 def padded_rows(row_of: np.ndarray, histories: list[tuple]) -> tuple[np.ndarray, np.ndarray]:

@@ -68,12 +68,13 @@ class ExperimentConfig(TrainSettings):
                              f"got {self.simulator_fit_scope!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not self.seeds:
-            raise ValueError("need at least one run seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be one or more run seeds >= 0, got {self.seeds}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ValueError(f"seeds repeat {repeated}: each seed has one run directory")
-        for name, low in (("min_user_interactions", 0), ("sim_dim", 1), ("sim_epochs", 0)):
+        for name, low in (("seed", 0), ("min_user_interactions", 0), ("sim_dim", 1),
+                          ("sim_epochs", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("sim_lr", "sim_reg"):
@@ -418,6 +419,8 @@ def compare(dir_a: str, dir_b: str, alpha: float = 0.05) -> list[MetricCompariso
     Pairs are (seed position, user) observations; both experiments must
     hold the same number of seed runs over identical user sets.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     dirs_a, dirs_b = _seed_dirs(dir_a), _seed_dirs(dir_b)
     if len(dirs_a) != len(dirs_b):
         raise ValueError(f"seed run count mismatch: {len(dirs_a)} vs {len(dirs_b)}")

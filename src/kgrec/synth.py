@@ -32,6 +32,8 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.clusters < 2:
             raise ValueError(f"need at least 2 clusters, got {self.clusters}")
         if self.items_per_cluster < 2 or self.users < 1:

@@ -33,14 +33,14 @@ def field_casters(cls) -> dict:
 
 
 def parse_flat(text: str, casters: dict, source: str) -> dict:
-    """Flat `key = value` text to {key: cast value}; a `#` at the start of a
-    line or after whitespace starts a comment, any other `#` is text.
+    """Flat `key = value` text to {key: cast value}; lines end at "\\n" only,
+    and a `#` at a line's start or after whitespace starts a comment.
 
     A line without `=`, an unknown or repeated key and a value its caster
     rejects raise ValueError prefixed with `source:lineno:`.
     """
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -63,12 +63,12 @@ def parse_flat(text: str, casters: dict, source: str) -> dict:
 def flat_text(pairs) -> str:
     """`key = value` lines for (key, value) pairs, as `field_casters` reads
     them. A value that would not read back (leading or trailing whitespace,
-    a line break, a `#` that `parse_flat` takes for a comment) raises
+    a "\\n" or "\\r", a `#` that `parse_flat` takes for a comment) raises
     ValueError naming its key."""
     lines = []
     for key, value in pairs:
         text = _format_value(value)
-        if text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(text):
+        if text != text.strip() or "\n" in text or "\r" in text or _COMMENT.search(text):
             raise ValueError(f"value of {key!r} would not read back: {text!r}")
         lines.append(f"{key} = {text}\n")
     return "".join(lines)

@@ -36,13 +36,13 @@ from kgrec.textio import read_rows
 def sigmoid_taped(tape, x):
     """Taped elementwise `kgrec.autodiff.sigmoid`."""
     out = sigmoid(x.data)
-    return tape.emit("sigmoid", out, [(x, lambda g: g * out * (1.0 - out))])
+    return tape.emit("sigmoid", out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh_taped(tape, x):
     """Taped elementwise tanh."""
     out = np.tanh(x.data)
-    return tape.emit("tanh", out, [(x, lambda g: g * (1.0 - out * out))])
+    return tape.emit("tanh", out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def gru_step_rows(p, h_prev, items, tape):
@@ -94,7 +94,7 @@ def matmul_const(tape, a_const, x):
     gradient into the constant."""
     out = a_const @ x.data
     at = a_const.T
-    return tape.emit("matmul_const", np.asarray(out), [(x, lambda g: np.asarray(at @ g))])
+    return tape.emit("matmul_const", np.asarray(out), (x,), lambda g: (np.asarray(at @ g),))
 
 
 def propagate_all_taped(g, base, gcn, tape):

@@ -4,6 +4,7 @@ variant wiring, training smoke runs and checkpoint round trips."""
 import gc
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -1217,6 +1218,39 @@ def test_checkpoint_names_unknown_config_keys(tmp_path):
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert path in str(err.value) and "beta, dropout" in str(err.value)
+
+
+@pytest.mark.parametrize("drop", ["base", "gru_u_cand", "t_ab2", "meta", "config",
+                                  "gcn_layers"])
+def test_checkpoint_names_a_missing_array_or_meta_key(tmp_path, drop):
+    env = _tiny_world()
+    cfg = _mf_cfg()
+    params, target = initialize_parameters(env, None, cfg, seed=2)
+    path = str(tmp_path / "mf.npz")
+    save_checkpoint(path, params, target, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    if drop in meta:
+        del meta[drop]
+        arrays["meta"] = np.array(json.dumps(meta))
+    else:
+        del arrays[drop]
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: no '{drop}' in the checkpoint$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("content", [b"not an archive\n", "npy"])
+def test_checkpoint_names_a_file_that_is_no_archive(tmp_path, content):
+    path = str(tmp_path / "agent.npz")
+    with open(path, "wb") as fh:
+        if content == "npy":
+            np.save(fh, np.zeros(3))
+        else:
+            fh.write(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: not a checkpoint archive"):
+        load_checkpoint(path)
 
 
 def _checkpoint_arrays(params, target):

@@ -12,8 +12,8 @@ TOL = 1e-5
 
 
 def _weighted_scalar(tape, out, weights):
-    # distinct per-element weights catch transposed pulls that a plain
-    # sum would let through
+    # distinct per-element weights catch transposed gradient pieces that a
+    # plain sum would let through
     return tape.sum(tape.mul(out, Tensor(weights)))
 
 
@@ -156,6 +156,46 @@ def test_fan_out_accumulates():
     loss = tape.sum(tape.mul(x, x))
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], np.array([6.0, -4.0]))
+
+
+def test_record_without_tracked_inputs_is_never_asked_for_pieces():
+    asked = []
+
+    def backward(g):
+        asked.append(g)
+        return (g,)
+
+    x = Tensor(np.ones(2), requires_grad=True)
+    tape = Tape()
+    constant = tape.emit("probe", np.full(2, 2.0), (Tensor(np.ones(2)),), backward)
+    tracked = tape.emit("probe", x.data * 3.0, (x,), backward)
+    grads = tape.backward(tape.sum(tape.add(constant, tracked)))
+    # both records are reached; only the one whose input tracks is asked
+    assert len(asked) == 1
+    assert np.array_equal(grads[x], np.ones(2))
+
+
+@pytest.mark.parametrize("pieces", [0, 2])
+@pytest.mark.parametrize("form", [tuple, iter])
+def test_backward_with_a_wrong_piece_count_raises(pieces, form):
+    x = Tensor(np.ones(2), requires_grad=True)
+    tape = Tape()
+    out = tape.emit("probe", x.data.copy(), (x,), lambda g: form([g] * pieces))
+    with pytest.raises(ValueError):
+        tape.backward(tape.sum(out))
+
+
+@pytest.mark.parametrize("form", [tuple, iter])
+def test_a_tensor_listed_twice_gets_its_pieces_in_input_order(form):
+    # x's piece from the mul, replayed first, is 1; then the probe's pieces
+    # land in input order: (1 + 1e-16) - 1 is 0, the other order 1e-16
+    x = Tensor(np.ones(2), requires_grad=True)
+    first, second = np.full(2, 1e-16), np.full(2, -1.0)
+    tape = Tape()
+    probe = tape.emit("probe", x.data + x.data, (x, x), lambda g: form([first, second]))
+    got = tape.backward(tape.sum(tape.add(probe, tape.mul(x, Tensor(np.ones(2))))))[x]
+    assert got.tobytes() == ((np.ones(2) + first) + second).tobytes()
+    assert got.tobytes() != ((np.ones(2) + second) + first).tobytes()
 
 
 def test_constant_leaves_get_no_gradient():

@@ -143,15 +143,15 @@ def test_gru_gradients_match_finite_differences():
 
 
 @contextmanager
-def _recorded_pulls():
-    """Every record emitted meanwhile, as (name, list of pulls)."""
+def _recorded_records():
+    """Every record emitted meanwhile, as (name, list of inputs, backward)."""
     records = []
     real_emit = Tape.emit
 
-    def spy(tape, name, out, pulls):
-        pulls = list(pulls)
-        records.append((name, pulls))
-        return real_emit(tape, name, out, pulls)
+    def spy(tape, name, out, inputs, backward):
+        inputs = list(inputs)
+        records.append((name, inputs, backward))
+        return real_emit(tape, name, out, inputs, backward)
 
     Tape.emit = spy
     try:
@@ -162,19 +162,19 @@ def _recorded_pulls():
 
 def _fold_and_grads(fold, gru, matrix, row_of, histories, actions, weights, mode):
     """h, the gradients of a loss over [h, action rows] and the number of
-    item-matrix pulls per fold record, with the matrix a trainable leaf, an
+    item-matrix inputs per fold record, with the matrix a trainable leaf, an
     op output of the tape or frozen."""
     tape = Tape()
     base = Tensor(matrix, requires_grad=mode != "frozen")
     items = tape.reshape(base, base.shape) if mode == "produced" else base
-    with _recorded_pulls() as records:
+    with _recorded_records() as records:
         h = fold(gru, items, row_of, histories, tape)
     acted = tape.gather_rows(items, actions)
     loss = tape.sum(tape.mul(tape.concat_cols(h, acted), Tensor(weights)))
     grads = tape.backward(loss, wrt=gru.tensors())
-    pulled = [sum(inp is items for inp, _ in pulls) for name, pulls in records
+    listed = [sum(inp is items for inp in inputs) for name, inputs, _ in records
               if name == "encode_rows"]
-    return h.data, [grads[t] for t in gru.tensors()], grads.get(base), pulled
+    return h.data, [grads[t] for t in gru.tensors()], grads.get(base), listed
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,7 +195,7 @@ def test_one_record_fold_is_the_taped_fold_bytewise(data, dim, n_rows, mode, see
     actions = rng.integers(0, n_rows, size=len(histories))
     weights = rng.standard_normal((len(histories), 2 * dim))
     args = (gru, matrix, row_of, histories, actions, weights, mode)
-    h, gru_grads, matrix_grad, pulled = _fold_and_grads(encode_rows, *args)
+    h, gru_grads, matrix_grad, listed = _fold_and_grads(encode_rows, *args)
     want_h, want_gru, want_matrix, _ = _fold_and_grads(encode_rows_taped, *args)
     assert h.tobytes() == want_h.tobytes()
     for got, want in zip(gru_grads, want_gru):
@@ -203,9 +203,9 @@ def test_one_record_fold_is_the_taped_fold_bytewise(data, dim, n_rows, mode, see
     assert (matrix_grad is None) == (mode == "frozen") == (want_matrix is None)
     if matrix_grad is not None:
         assert matrix_grad.tobytes() == want_matrix.tobytes()
-    # one record with one matrix pull per step, none for a frozen matrix
+    # one record listing the matrix once per step, never for a frozen matrix
     steps = max(map(len, histories))
-    assert pulled == ([] if steps == 0 else [0 if mode == "frozen" else steps])
+    assert listed == ([] if steps == 0 else [0 if mode == "frozen" else steps])
 
 
 def test_flat_scatter_over_steps_would_change_the_matrix_gradient():
@@ -230,10 +230,10 @@ def test_flat_scatter_over_steps_would_change_the_matrix_gradient():
     # holds the step's input-row gradient unchanged
     g_h, g_acted = np.split(weights, 2, axis=1)
     items = Tensor(matrix, requires_grad=True)
-    with _recorded_pulls() as records:
+    with _recorded_records() as records:
         encode_rows(gru, items, np.arange(n_rows), histories, Tape())
-    (_, pulls), = records
-    pieces = [pull(g_h) for inp, pull in pulls if inp is items]
+    (_, inputs, backward), = records
+    pieces = [p for inp, p in zip(inputs, backward(g_h), strict=True) if inp is items]
     rows = padded_rows(np.arange(n_rows), histories)[0][::-1]
     action_piece = np.zeros_like(matrix)
     np.add.at(action_piece, actions, g_acted)
@@ -316,10 +316,10 @@ def _propagate_and_grads(propagate, g, base_data, gcn, weights, mode):
     tape = Tape()
     base = Tensor(base_data, requires_grad=mode != "frozen")
     x = tape.reshape(base, base.shape) if mode == "produced" else base
-    with _recorded_pulls() as records:
+    with _recorded_records() as records:
         out = propagate(g, x, gcn, tape)
     grads = tape.backward(tape.sum(tape.mul(out, Tensor(weights))), wrt=gcn.tensors())
-    return out.data, grads.get(base), [grads[t] for t in gcn.tensors()], [n for n, _ in records]
+    return out.data, grads.get(base), [grads[t] for t in gcn.tensors()], [n for n, *_ in records]
 
 
 @settings(max_examples=150, deadline=None)

@@ -157,6 +157,16 @@ def test_parse_errors_carry_source_and_line(tmp_path):
         parse_config_text("eta = 0.1\nbudget = soon\n", source="x.cfg")
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_a_separator_in_a_comment_ends_no_line(tmp_path, separator):
+    path = tmp_path / "ff.cfg"
+    path.write_text(f"eta = 0.1  # a{separator}b\njust words\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"ff\.cfg:2: expected 'key = value', got 'just words'"):
+        parse_config(str(path))
+    path.write_text(f"eta = 0.1  # a{separator}budget = 5\n", encoding="utf-8")
+    assert parse_config(str(path)).budget == ExperimentConfig().budget
+
+
 # every key that reaches TrainConfig, each away from its default
 TRAINING_TEXT = """\
 gamma = 0.9
@@ -218,9 +228,10 @@ def test_config_hash_is_pinned():
     assert parse_config_text("").config_hash() == "2eced3482a201533"
 
 
-# "#" and " " drawn often, so values with and without a comment mark both occur
+# "#" and whitespace drawn often, so values with and without a comment mark
+# both occur; a form feed, U+001C, U+0085 and U+2028 are text, not line ends
 _CONFIG_CHARS = (st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))
-                 | st.sampled_from("# "))
+                 | st.sampled_from(["#", " ", "\x0c", "\x1c", "\x85", "\u2028"]))
 _SEGMENT = st.text(_CONFIG_CHARS.filter(lambda ch: ch != "/"), min_size=1, max_size=8)
 _VALUES = {
     "int": st.integers(),
@@ -359,6 +370,8 @@ def test_validate_catches_semantic_errors(world, tmp_path):
     (dict(binarize_threshold="-inf"), "binarize_threshold"),
     (dict(rating_min=5, rating_max=1), "rating_min"),
     (dict(rating_min=3, rating_max=3), "rating_min"),
+    (dict(seeds="2, -1"), "^seeds must be one or more run seeds >= 0"),
+    (dict(seed=-3), "^seed must be >= 0"),
 ])
 def test_validate_rejects_bad_simulator_keys_before_ingest(world, tmp_path, monkeypatch,
                                                            kw, field):
@@ -747,6 +760,18 @@ def test_compare_validates_run_shapes(tmp_path):
         compare(str(empty), str(tmp_path / "b"))
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 1.5, -0.1])
+def test_compare_rejects_an_alpha_outside_the_unit_interval(tmp_path, alpha):
+    d = tmp_path / "a" / "seed_0"
+    d.mkdir(parents=True)
+    _write_per_user(d / "report_users.csv", [0, 1, 2], np.linspace(0.1, 0.3, 3))
+    with pytest.raises(ValueError, match="alpha must be in"):
+        compare(str(tmp_path / "a"), str(tmp_path / "a"), alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be in"):
+        cli.main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
+                  "--alpha", str(alpha)])
+
+
 # -- sweeps --------------------------------------------------------------
 
 
@@ -833,6 +858,9 @@ def test_cli_synth_seed_overrides_the_spec(tmp_path):
                        for f in ("interactions.tsv", "kg_triples.tsv", "kg_links.tsv")]
     assert files["spec 0, --seed 5"] == files["spec 5"]
     assert files["spec 0, --seed 5"] != files["spec 0"]
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        cli.main(["synth", "--spec", str(tmp_path / "seed0.cfg"), "--seed", "-1",
+                  "--out", str(tmp_path / "negative")])
 
 
 def test_cli_eval_without_a_snapshot_needs_config(world, tmp_path, capsys):

@@ -130,6 +130,8 @@ def test_spec_validation():
     for kw in cases:
         with pytest.raises(ValueError):
             _spec(**kw).validate()
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        _spec(seed=-1).validate()
     _spec().validate()
 
 
