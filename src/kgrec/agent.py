@@ -16,7 +16,6 @@ sample's online pick (the whole set when the advantage is centered).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -28,7 +27,7 @@ from .encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, pa
 from .graph import KnowledgeGraph, candidate_items
 from .optim import AdamState, adam_step
 from .simulator import SimulatorModel, fit_mf, preference_counts, reset, step
-from .textio import atomic_open
+from .textio import atomic_open, check_ranges, within
 from .transe import TranseConfig, transe_pretrain
 
 
@@ -214,35 +213,36 @@ class ReplayBuffer:
 @dataclass
 class TrainSettings:
     """The training keys a config file shares with TrainConfig, each declared
-    here once with its default; flag combinations follow the ablation lattice."""
+    here once with its default and range; flag combinations follow the
+    ablation lattice."""
 
-    gamma: float = 0.99
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.2
-    tau: float = 0.01
-    batch_size: int = 128
-    buffer_capacity: int = 10_000
-    learning_rate: float = 1e-3
-    hops: int = 2
-    horizon: int = 32
-    embedding_dim: int = 50
-    hidden_width: int = 64
-    updates_per_episode: int = 1
+    gamma: float = field(default=0.99, metadata=within(0, 1))
+    epsilon_start: float = field(default=1.0, metadata=within(0, 1))
+    epsilon_end: float = field(default=0.05, metadata=within(0, 1))
+    epsilon_decay_fraction: float = field(default=0.2, metadata=within(0))
+    tau: float = field(default=0.01, metadata=within(0, 1))
+    batch_size: int = field(default=128, metadata=within(1))
+    buffer_capacity: int = field(default=10_000, metadata=within(1))
+    learning_rate: float = field(default=1e-3, metadata=within(0))
+    hops: int = field(default=2, metadata=within(1))
+    horizon: int = field(default=32, metadata=within(1))
+    embedding_dim: int = field(default=50, metadata=within(1))
+    hidden_width: int = field(default=64, metadata=within(1))
+    updates_per_episode: int = field(default=1, metadata=within(0))
     value_input: str = "state"
     advantage_center: bool = False
     kg_embeddings: bool = True
     gcn_propagation: bool = True
     candidate_selection: bool = True
-    eval_every: int = 1000
-    eval_gamma: float | None = None
-    transe_epochs: int = 100
-    transe_margin: float = 1.0
-    transe_negatives: int = 1
-    transe_lr: float = 1e-3
-    init_mf_epochs: int = 50
-    init_mf_lr: float = 0.01
-    init_mf_reg: float = 0.02
+    eval_every: int = field(default=1000, metadata=within(1))
+    eval_gamma: float | None = field(default=None, metadata=within(0, 1))
+    transe_epochs: int = field(default=100, metadata=within(0))
+    transe_margin: float = field(default=1.0, metadata=within())
+    transe_negatives: int = field(default=1, metadata=within(1))
+    transe_lr: float = field(default=1e-3, metadata=within(0))
+    init_mf_epochs: int = field(default=50, metadata=within(0))
+    init_mf_lr: float = field(default=0.01, metadata=within(0))
+    init_mf_reg: float = field(default=0.02, metadata=within(0))
 
 
 @dataclass
@@ -250,35 +250,20 @@ class TrainConfig(TrainSettings):
     """Agent and schedule knobs: the shared settings plus the parsed
     candidate size and the interaction budget."""
 
-    candidate_size: int | None = 1000
-    interaction_budget: int = 10_000
+    candidate_size: int | None = field(default=1000, metadata=within(1))
+    interaction_budget: int = field(default=10_000, metadata=within(1))
 
     def validate(self) -> None:
+        check_ranges(self)
         if self.value_input not in ("state", "item"):
             raise ValueError(f"value_input must be 'state' or 'item', got {self.value_input!r}")
         if self.gcn_propagation and not self.kg_embeddings:
             raise ValueError("gcn_propagation requires kg_embeddings")
         if self.candidate_selection and not self.gcn_propagation:
             raise ValueError("candidate_selection requires gcn_propagation (ablation lattice)")
-        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
-        if self.candidate_size is not None and self.candidate_size < 1:
-            raise ValueError("candidate_size must be positive or None")
-        for name in ("horizon", "hops", "batch_size", "embedding_dim", "hidden_width",
-                     "buffer_capacity", "interaction_budget", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("updates_per_episode", "init_mf_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("learning_rate", "init_mf_lr", "init_mf_reg"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("gamma", "eval_gamma", "tau"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        self.transe_config().validate()
+        if self.epsilon_end > self.epsilon_start:
+            raise ValueError(f"epsilon_end must be <= epsilon_start, got "
+                             f"{self.epsilon_end} > {self.epsilon_start}")
 
     def transe_config(self) -> TranseConfig:
         """The KG pretraining settings: `dim` is embedding_dim, `learning_rate`
@@ -772,7 +757,8 @@ _HEAD_FIELDS = ("vw1", "vb1", "vw2", "vb2", "aw1", "ab1", "aw2", "ab2")
 def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
     """Restore (params, target, cfg, meta) saved by save_checkpoint; meta
     carries config_hash, interactions and version. A file that is no .npz
-    archive or lacks an array or meta key raises ValueError naming the path."""
+    archive, lacks an array or meta key, has a meta that is no JSON object or
+    a config that fails validate() raises ValueError naming the path."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             data = dict(archive)
@@ -780,10 +766,13 @@ def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
         raise ValueError(f"{path}: not a checkpoint archive: {err}") from None
     try:
         meta = json.loads(str(data["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint meta is not a JSON object")
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
-            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys {', '.join(unknown)}")
         cfg = TrainConfig(**meta["config"])
+        cfg.validate()
         base = Tensor(data["base"], requires_grad=bool(meta["base_trainable"]))
         gcn = None
         if meta["gcn_layers"]:
@@ -808,3 +797,7 @@ def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
         return params, heads("t", False), cfg, meta
     except KeyError as missing:
         raise ValueError(f"{path}: no {missing.args[0]!r} in the checkpoint") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: checkpoint meta is not JSON: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -42,6 +42,7 @@ def _find_config_for(checkpoint: str) -> str:
 def _cmd_eval(args) -> int:
     config_path = args.config or _find_config_for(args.checkpoint)
     config = experiments.parse_config(config_path)
+    config.validate()
     ds = experiments.ingest(config)
     env = experiments.build_environment(ds, config)
     params, _, cfg, meta = load_checkpoint(args.checkpoint, graph=ds.graph)

@@ -21,8 +21,8 @@ from .agent import (CurvePoint, Environment, TrainConfig, TrainSettings, save_ch
 from .graph import KnowledgeGraph, build_graph, read_links, read_triples
 from .metrics import PER_USER_HEADER, EvaluationReport, build_report, wilcoxon_signed_rank
 from .simulator import fit_mf, popularity_table, split_users
-from .textio import (atomic_write, field_casters, flat_text, parse_flat, read_rows, read_text,
-                     rows_text)
+from .textio import (atomic_write, check_ranges, field_casters, flat_text, parse_flat, read_rows,
+                     read_text, rows_text, within)
 
 logger = logging.getLogger("kgrec.experiments")
 
@@ -39,26 +39,27 @@ class ExperimentConfig(TrainSettings):
     links: str = ""
     out_dir: str = "runs/exp"
     seeds: tuple[int, ...] = (0, 1, 2)
-    seed: int = 0
-    eta: float = 0.1
+    seed: int = field(default=0, metadata=within(0))
+    eta: float = field(default=0.1, metadata=within())  # and one of ETA_CHOICES
     candidate_size: str = "1000"
     candidate_sizes: str = "5,10,20,50,all"
-    train_fraction: float = 0.8
+    train_fraction: float = field(default=0.8, metadata=within(0, 1, open_ends=True))
     simulator_fit_scope: str = "all"
-    sim_dim: int = 20
-    sim_epochs: int = 50
-    sim_lr: float = 0.01
-    sim_reg: float = 0.02
-    rating_min: float | None = None
-    rating_max: float | None = None
-    hit_threshold: float | None = None
-    min_user_interactions: int = 0
-    binarize_threshold: float | None = None
-    budget: int = 10_000
+    sim_dim: int = field(default=20, metadata=within(1))
+    sim_epochs: int = field(default=50, metadata=within(0))
+    sim_lr: float = field(default=0.01, metadata=within(0))
+    sim_reg: float = field(default=0.02, metadata=within(0))
+    rating_min: float | None = field(default=None, metadata=within())
+    rating_max: float | None = field(default=None, metadata=within())
+    hit_threshold: float | None = field(default=None, metadata=within())
+    min_user_interactions: int = field(default=0, metadata=within(0))
+    binarize_threshold: float | None = field(default=None, metadata=within())
+    budget: int = field(default=10_000, metadata=within(1))
 
     def validate(self) -> None:
         if not self.ratings:
             raise ValueError("config needs a ratings path")
+        check_ranges(self)
         if not any(abs(self.eta - v) < 1e-12 for v in ETA_CHOICES):
             raise ValueError(f"eta must be one of {ETA_CHOICES}, got {self.eta}")
         if self.kg_embeddings and not (self.triples and self.links):
@@ -66,23 +67,11 @@ class ExperimentConfig(TrainSettings):
         if self.simulator_fit_scope not in ("all", "train"):
             raise ValueError(f"simulator_fit_scope must be 'all' or 'train', "
                              f"got {self.simulator_fit_scope!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more run seeds >= 0, got {self.seeds}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ValueError(f"seeds repeat {repeated}: each seed has one run directory")
-        for name, low in (("seed", 0), ("min_user_interactions", 0), ("sim_dim", 1),
-                          ("sim_epochs", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("sim_lr", "sim_reg"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("rating_min", "rating_max", "hit_threshold", "binarize_threshold"):
-            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if None not in (self.rating_min, self.rating_max) and self.rating_min >= self.rating_max:
             raise ValueError(f"rating_min must be < rating_max, got "
                              f"[{self.rating_min}, {self.rating_max}]")

@@ -8,10 +8,11 @@ consecutive misses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .textio import check_range, within
 
 
 @dataclass
@@ -88,6 +89,12 @@ def _level_order(order: np.ndarray, users: np.ndarray, items: np.ndarray, n_user
     return order[np.argsort(levels, kind="stable")], np.bincount(levels).cumsum().tolist()
 
 
+# the range of each scalar argument of fit_mf that the fit relies on
+_FIT_MF_RANGES = {"dim": within(1), "epochs": within(0), "learning_rate": within(0),
+                  "reg": within(0), "rating_min": within(), "rating_max": within(),
+                  "hit_threshold": within(), "eta": within(), "horizon": within(1)}
+
+
 def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
            epochs: int = 50, learning_rate: float = 0.01, reg: float = 0.02,
            seed: int = 0, rating_min: float | None = None, rating_max: float | None = None,
@@ -111,6 +118,7 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
 
     Returns a SimulatorModel carrying the protocol constants.
     """
+    args = locals()  # the arguments, by name
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     ratings = np.asarray(ratings, dtype=np.float64)
@@ -121,18 +129,8 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
         if ids.min() < 0 or ids.max() >= size:
             raise ValueError(f"fit_mf: {name} must lie in [0, {size_name}={size}), "
                              f"got ids in [{ids.min()}, {ids.max()}]")
-    if dim < 1:
-        raise ValueError(f"fit_mf: dim must be >= 1, got {dim}")
-    if epochs < 0:
-        raise ValueError(f"fit_mf: epochs must be >= 0, got {epochs}")
-    for name, value in (("learning_rate", learning_rate), ("reg", reg)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"fit_mf: {name} must be finite and >= 0, got {value}")
-    for name, value in (("hit_threshold", hit_threshold), ("eta", eta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"fit_mf: {name} must be finite, got {value}")
-    if horizon < 1:
-        raise ValueError(f"fit_mf: horizon must be >= 1, got {horizon}")
+    for name, bounds in _FIT_MF_RANGES.items():
+        check_range(f"fit_mf: {name}", args[name], bounds)
     if not np.isfinite(ratings).all():
         raise ValueError("fit_mf: ratings must be finite")
     lo = float(ratings.min()) if rating_min is None else float(rating_min)
@@ -182,7 +180,9 @@ def step(state: EpisodeState, m: SimulatorModel, item: int):
 
     Reward is r_ij + eta * (c_p - c_n) with the streak counters as they
     stood before this step; counters then update from the sign of the
-    normalized feedback, and the history grows only on a hit.
+    normalized feedback (exactly 0.0 counts as negative: it extends the
+    negative streak and resets the positive one), and the history grows
+    only on a hit.
     """
     if state.done:
         raise RuntimeError("episode is finished")

@@ -9,38 +9,32 @@ next. Cross-cluster distractor edges keep the selection problem honest.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .textio import atomic_write, field_casters, parse_flat, read_text, rows_text
+from .textio import (atomic_write, check_ranges, field_casters, parse_flat, read_text, rows_text,
+                     within)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    clusters: int = 5
-    items_per_cluster: int = 10
-    users: int = 250
-    home_ratings_per_user: int = 0  # 0 rates the whole home cluster
-    out_ratings_per_user: int = 10
-    intra_mean: float = 4.5
-    inter_mean: float = 1.5
-    noise: float = 0.3
-    rating_min: float = 1.0
-    rating_max: float = 5.0
-    also_viewed_rate: float = 0.1
-    seed: int = 0
+    clusters: int = field(default=5, metadata=within(2))
+    items_per_cluster: int = field(default=10, metadata=within(2))
+    users: int = field(default=250, metadata=within(1))
+    home_ratings_per_user: int = field(default=0, metadata=within(0))  # 0: all the home cluster
+    out_ratings_per_user: int = field(default=10, metadata=within(0))
+    intra_mean: float = field(default=4.5, metadata=within())
+    inter_mean: float = field(default=1.5, metadata=within())
+    noise: float = field(default=0.3, metadata=within(0))
+    rating_min: float = field(default=1.0, metadata=within())
+    rating_max: float = field(default=5.0, metadata=within())
+    also_viewed_rate: float = field(default=0.1, metadata=within(0, 1))
+    seed: int = field(default=0, metadata=within(0))
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.clusters < 2:
-            raise ValueError(f"need at least 2 clusters, got {self.clusters}")
-        if self.items_per_cluster < 2 or self.users < 1:
-            raise ValueError("items_per_cluster must be >= 2 and users >= 1")
-        if self.out_ratings_per_user < 0:
-            raise ValueError("out_ratings_per_user must be >= 0")
-        if not 0 <= self.home_ratings_per_user <= self.items_per_cluster:
+        check_ranges(self)
+        if self.home_ratings_per_user > self.items_per_cluster:
             raise ValueError(f"home_ratings_per_user must be in [0, {self.items_per_cluster}], "
                              f"got {self.home_ratings_per_user}")
         out_pool = (self.clusters - 1) * self.items_per_cluster
@@ -49,10 +43,6 @@ class SynthSpec:
                              f"the {out_pool} out-of-cluster items")
         if not self.rating_max > self.rating_min:
             raise ValueError("rating_max must exceed rating_min")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
-        if not 0.0 <= self.also_viewed_rate <= 1.0:
-            raise ValueError("also_viewed_rate must be in [0, 1]")
 
 
 @dataclass(frozen=True)

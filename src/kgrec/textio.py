@@ -1,12 +1,15 @@
-"""The on-disk text formats: flat `key = value` files, delimited rows (the
-TSV data files and the CSV run files), and atomic writes."""
+"""The on-disk text formats: flat `key = value` files and the ranges their
+numeric keys declare beside each field, delimited rows (the TSV data files
+and the CSV run files), and atomic writes."""
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import fields
+from numbers import Integral, Real
 from typing import Iterator
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -30,6 +33,38 @@ def field_casters(cls) -> dict:
         kind, _, optional = f.type.partition(" | ")
         casters[f.name] = _or_none(_CASTS[kind]) if optional == "None" else _CASTS[kind]
     return casters
+
+
+def within(low: float = -math.inf, high: float = math.inf, open_ends: bool = False) -> dict:
+    """`dataclasses.field` metadata declaring a numeric setting's range for
+    `check_range`: low <= value <= high, or low < value < high with
+    `open_ends` (for two finite ends). NaN, +-inf and a value that is no
+    number never pass; None (of an `X | None` field) does."""
+    return {"range": (low, high, open_ends)}
+
+
+def check_range(name: str, value, metadata: dict) -> None:
+    """ValueError("<name> must be <range>, got <value>") for a value outside
+    the range `within` declared in `metadata`."""
+    low, high, open_ends = metadata["range"]
+    integral = isinstance(value, Integral)
+    if value is None or (isinstance(value, Real) and (integral or math.isfinite(value))
+                         and (low < value < high if open_ends else low <= value <= high)):
+        return
+    if high < math.inf:
+        what = f"in ({low}, {high})" if open_ends else f"in [{low}, {high}]"
+    else:
+        what = "finite" if low == -math.inf else f"{'' if integral else 'finite and '}>= {low}"
+    shown = value if isinstance(value, Real) else repr(value)
+    raise ValueError(f"{name} must be {what}, got {shown}")
+
+
+def check_ranges(obj, prefix: str = "") -> None:
+    """check_range on every field of dataclass `obj` that declares a range,
+    in field order, naming it `prefix` + its key."""
+    for f in fields(obj):
+        if "range" in f.metadata:
+            check_range(prefix + f.name, getattr(obj, f.name), f.metadata)
 
 
 def parse_flat(text: str, casters: dict, source: str) -> dict:

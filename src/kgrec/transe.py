@@ -7,35 +7,25 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csr import CsrOperator
 from .graph import KnowledgeGraph
+from .textio import check_ranges, within
 
 
 @dataclass
 class TranseConfig:
-    dim: int = 50
-    margin: float = 1.0
-    negatives: int = 1
-    epochs: int = 100
-    learning_rate: float = 1e-3
+    dim: int = field(default=50, metadata=within(1))
+    margin: float = field(default=1.0, metadata=within())
+    negatives: int = field(default=1, metadata=within(1))
+    epochs: int = field(default=100, metadata=within(0))
+    learning_rate: float = field(default=1e-3, metadata=within(0))
 
     def validate(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"TranseConfig.dim must be >= 1, got {self.dim}")
-        if self.epochs < 0:
-            raise ValueError(f"TranseConfig.epochs must be >= 0, got {self.epochs}")
-        if self.negatives < 1:
-            raise ValueError(f"TranseConfig.negatives must be >= 1, got {self.negatives}")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(f"TranseConfig.learning_rate must be finite and >= 0, "
-                             f"got {self.learning_rate}")
-        if not math.isfinite(self.margin):
-            raise ValueError(f"TranseConfig.margin must be finite, got {self.margin}")
+        check_ranges(self, "TranseConfig.")
 
 
 def transe_loss_and_grads(entities: np.ndarray, relations: np.ndarray,

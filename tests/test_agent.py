@@ -460,8 +460,8 @@ def test_config_validation_lattice():
 
 @pytest.mark.parametrize("field, value, named", [
     ("embedding_dim", 0, "embedding_dim"), ("transe_epochs", -3, "epochs"),
-    ("transe_negatives", 0, "negatives"), ("transe_lr", float("nan"), "learning_rate"),
-    ("transe_lr", -1e-3, "learning_rate"), ("transe_margin", float("inf"), "margin"),
+    ("transe_negatives", 0, "negatives"), ("transe_lr", float("nan"), "transe_lr"),
+    ("transe_lr", -1e-3, "transe_lr"), ("transe_margin", float("inf"), "margin"),
     ("hidden_width", 0, "hidden_width"), ("learning_rate", float("nan"), "learning_rate"),
     ("learning_rate", -1e-3, "learning_rate"), ("learning_rate", float("inf"), "learning_rate"),
     ("eval_every", 0, "eval_every"), ("interaction_budget", 0, "interaction_budget"),
@@ -1203,7 +1203,9 @@ def test_checkpoint_round_trip_without_graph(tmp_path):
     assert np.array_equal(loaded.source.base.data, params.source.base.data)
 
 
-def test_checkpoint_names_unknown_config_keys(tmp_path):
+def _checkpoint_with_meta(tmp_path, meta_text) -> str:
+    """A saved checkpoint whose meta array is replaced by `meta_text`, or,
+    given a function, by the JSON of what it makes of the saved meta."""
     env = _tiny_world()
     cfg = _mf_cfg()
     params, target = initialize_parameters(env, None, cfg, seed=2)
@@ -1211,13 +1213,47 @@ def test_checkpoint_names_unknown_config_keys(tmp_path):
     save_checkpoint(path, params, target, cfg)
     with np.load(path) as data:
         arrays = dict(data)
-    meta = json.loads(str(arrays["meta"]))
-    meta["config"].update(dropout=0.5, beta=1)
-    arrays["meta"] = np.array(json.dumps(meta))
+    if callable(meta_text):
+        meta_text = json.dumps(meta_text(json.loads(str(arrays["meta"]))))
+    arrays["meta"] = np.array(meta_text)
     np.savez(path, **arrays)
+    return path
+
+
+def test_checkpoint_names_unknown_config_keys(tmp_path):
+    def extended(meta):
+        meta["config"].update(dropout=0.5, beta=1)
+        return meta
+
+    path = _checkpoint_with_meta(tmp_path, extended)
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert path in str(err.value) and "beta, dropout" in str(err.value)
+
+
+def test_checkpoint_names_a_meta_that_is_not_json(tmp_path):
+    path = _checkpoint_with_meta(tmp_path, "{config: oops")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint meta is not JSON"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_names_a_meta_that_is_no_json_object(tmp_path):
+    path = _checkpoint_with_meta(tmp_path, lambda meta: [meta])
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(path)}: checkpoint meta is not a JSON object$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("gamma", float("nan")), ("gamma", "0.9"),
+                                        ("epsilon_decay_fraction", -1.0)])
+def test_checkpoint_validates_its_config(tmp_path, key, value):
+    def bad(meta):
+        meta["config"][key] = value
+        return meta
+
+    path = _checkpoint_with_meta(tmp_path, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: {key} must be"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("drop", ["base", "gru_u_cand", "t_ab2", "meta", "config",

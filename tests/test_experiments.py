@@ -921,6 +921,24 @@ def test_cli_train_rejects_bad_embedding_settings_before_ingest(world, tmp_path,
     assert not os.path.exists(tmp_path / "exp")
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("eta", "0.5", r"eta must be one of \(0\.0, 0\.1, 0\.2\)"),
+    ("epsilon_decay_fraction", "-1", "epsilon_decay_fraction must be"),
+], ids=["eta", "epsilon_decay_fraction"])
+def test_cli_eval_rejects_a_bad_config_before_ingest(world, tmp_path, monkeypatch, key, value,
+                                                     needle):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(_config_text(world, str(tmp_path / "exp"), **{key: value}))
+
+    def no_ingest(config):
+        raise AssertionError("ingested")
+
+    monkeypatch.setattr(experiments_module, "ingest", no_ingest)
+    with pytest.raises(ValueError, match=needle):
+        cli.main(["eval", "--checkpoint", str(tmp_path / "checkpoint.npz"),
+                  "--config", str(cfg_path)])
+
+
 def test_cli_train_seed_and_budget_overrides(world, tmp_path, capsys):
     exp_dir = str(tmp_path / "exp")
     cfg_path = tmp_path / "exp.cfg"

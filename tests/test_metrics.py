@@ -70,6 +70,13 @@ def test_recall_per_user_and_zero_preferences(caplog):
         recall_at_horizon(logs, np.array([1, 2, 3]))
 
 
+def test_recall_with_one_preferred_item_and_its_hit_is_one(caplog):
+    logs = [_ep([0.0] * 3, [False, True, False])]
+    with caplog.at_level(logging.WARNING, logger="kgrec.metrics"):
+        assert recall_at_horizon(logs, np.array([1])) == 1.0
+    assert "zero preferences" not in caplog.text
+
+
 def _average_ranks_oracle(values):
     """Average 1-based ranks, one tie run at a time."""
     n = values.size

@@ -273,6 +273,20 @@ def test_eta_zero_reward_equals_normalized():
         assert rec.reward == rec.normalized
 
 
+def test_zero_feedback_counts_as_a_miss_for_the_streaks():
+    # raw 3.0 is the scale midpoint: normalized feedback exactly 0.0
+    eta = 0.25
+    m = _scripted_model([4.0, 3.0, 3.0], eta=eta, horizon=3)
+    state = EpisodeState(user=0)
+    step(state, m, 0)
+    r1, _ = step(state, m, 1)  # counters were (1, 0)
+    assert (state.records[1].normalized, r1) == (0.0, eta)
+    assert (state.pos_streak, state.neg_streak) == (0, 1)
+    r2, _ = step(state, m, 2)  # counters were (0, 1)
+    assert r2 == -eta
+    assert (state.pos_streak, state.neg_streak) == (0, 2)
+
+
 def test_hit_and_streak_disagree_off_midpoint():
     # raw 3.4: above the scale midpoint (norm > 0, feeds the positive
     # streak) yet below the raw hit threshold 3.5 (no click recorded)
