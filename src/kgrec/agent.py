@@ -105,12 +105,6 @@ class EmbeddingSource:
             raise KeyError(f"item {int(missing)} has no embedding row")
         return rows
 
-    def tensors(self) -> list[Tensor]:
-        out = [self.base] if self.base.requires_grad else []
-        if self.gcn is not None:
-            out.extend(self.gcn.tensors())
-        return out
-
 
 @dataclass
 class AgentParameters:
@@ -121,8 +115,14 @@ class AgentParameters:
     # (version, tape, matrix tensor, matrix values, online QScorer) of one version
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
+    def tensors(self) -> list[Tensor]:
+        """Every tensor in the checkpoint's order: the item table, the GCN's,
+        the GRU's and the heads'."""
+        gcn = self.source.gcn.tensors() if self.source.gcn is not None else []
+        return [self.source.base, *gcn, *self.gru.tensors(), *self.qnet.tensors()]
+
     def trainable(self) -> list[Tensor]:
-        return self.source.tensors() + self.gru.tensors() + self.qnet.tensors()
+        return [t for t in self.tensors() if t.requires_grad]
 
     def item_matrix_data(self) -> np.ndarray:
         """Propagated item matrix for inference, cached per parameter version."""
@@ -503,50 +503,54 @@ def epsilon_at(interactions: int, cfg: TrainConfig) -> float:
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
 
-def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
-                          seed: int) -> tuple[AgentParameters, QNetParameters]:
-    """Fresh parameters per the ablation flags; returns (online, target heads).
-
-    Item representation comes from translational KG pretraining when
-    kg_embeddings is set (trainable only together with gcn_propagation),
-    otherwise from a matrix-factorization fit of the training interactions
-    (always trainable).
-    """
-    cfg.validate()
-    ss = np.random.SeedSequence([int(seed), 0x1A])
-    s_net, s_pre = ss.spawn(2)
-    rng = np.random.default_rng(s_net)
+def build_parameters(cfg: TrainConfig, table: np.ndarray, row_of_item: np.ndarray,
+                     graph: KnowledgeGraph | None, rng: np.random.Generator
+                     ) -> tuple[AgentParameters, QNetParameters]:
+    """(online, target heads) that `cfg` gives the item `table`: the GCN (with
+    gcn_propagation), value head, advantage head and GRU drawn from `rng` in
+    that order, and a copy of the heads; the table trains with the GCN or MF."""
+    if cfg.gcn_propagation and graph is None:
+        raise ValueError("gcn_propagation requires a graph")
     d = cfg.embedding_dim
-    n_slots = int(np.max(env.items)) + 1 if len(env.items) else 0
-
-    if cfg.kg_embeddings:
-        if graph is None:
-            raise ValueError("kg_embeddings requires a graph")
-        entities, _, _ = transe_pretrain(graph, cfg.transe_config(), s_pre)
-        base = Tensor(entities, requires_grad=cfg.gcn_propagation)
-        row_of = np.full(n_slots, -1, dtype=np.int64)
-        in_range = (graph.linked_items >= 0) & (graph.linked_items < n_slots)
-        row_of[graph.linked_items[in_range]] = graph.linked_entities[in_range]
-        if np.any(row_of[env.items] < 0):
-            raise ValueError("action universe contains items without a KG link")
-        gcn = GcnParameters.init(d, cfg.hops, rng) if cfg.gcn_propagation else None
-        source = EmbeddingSource(base=base, row_of_item=row_of,
-                                 graph=graph if gcn is not None else None, gcn=gcn)
-    else:
-        u, i, r = env.train_interactions
-        # the simulator's scale: the train ratings alone may all be equal
-        mf = fit_mf(u, i, r, n_users=env.model.n_users, n_items=n_slots, dim=d,
-                    epochs=cfg.init_mf_epochs, learning_rate=cfg.init_mf_lr,
-                    reg=cfg.init_mf_reg, seed=s_pre, rating_min=env.model.rating_min,
-                    rating_max=env.model.rating_max)
-        base = Tensor(mf.item_factors, requires_grad=True)
-        source = EmbeddingSource(base=base, row_of_item=np.arange(n_slots), graph=None, gcn=None)
-
+    gcn = GcnParameters.init(d, cfg.hops, rng) if cfg.gcn_propagation else None
+    base = Tensor(table, requires_grad=cfg.gcn_propagation or not cfg.kg_embeddings)
+    source = EmbeddingSource(base=base, row_of_item=row_of_item,
+                             graph=graph if gcn is not None else None, gcn=gcn)
     qnet = QNetParameters(value=Mlp.init(d, cfg.hidden_width, rng),
                           advantage=Mlp.init(2 * d, cfg.hidden_width, rng),
                           value_input=cfg.value_input)
     params = AgentParameters(source=source, gru=GruParameters.init(d, rng), qnet=qnet)
     return params, qnet.clone()
+
+
+def initialize_parameters(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
+                          seed: int) -> tuple[AgentParameters, QNetParameters]:
+    """Fresh (online, target heads) of build_parameters over an item table
+    from translational KG pretraining when kg_embeddings is set, otherwise
+    from a matrix-factorization fit of the training interactions."""
+    cfg.validate()
+    ss = np.random.SeedSequence([int(seed), 0x1A])
+    s_net, s_pre = ss.spawn(2)
+    n_slots = int(np.max(env.items)) + 1 if len(env.items) else 0
+
+    if cfg.kg_embeddings:
+        if graph is None:
+            raise ValueError("kg_embeddings requires a graph")
+        table, _, _ = transe_pretrain(graph, cfg.transe_config(), s_pre)
+        row_of = np.full(n_slots, -1, dtype=np.int64)
+        in_range = (graph.linked_items >= 0) & (graph.linked_items < n_slots)
+        row_of[graph.linked_items[in_range]] = graph.linked_entities[in_range]
+        if np.any(row_of[env.items] < 0):
+            raise ValueError("action universe contains items without a KG link")
+    else:
+        u, i, r = env.train_interactions
+        # the simulator's scale: the train ratings alone may all be equal
+        mf = fit_mf(u, i, r, n_users=env.model.n_users, n_items=n_slots, dim=cfg.embedding_dim,
+                    epochs=cfg.init_mf_epochs, learning_rate=cfg.init_mf_lr,
+                    reg=cfg.init_mf_reg, seed=s_pre, rating_min=env.model.rating_min,
+                    rating_max=env.model.rating_max)
+        table, row_of = mf.item_factors, np.arange(n_slots)
+    return build_parameters(cfg, table, row_of, graph, np.random.default_rng(s_net))
 
 
 def _episodes(params: AgentParameters | None, env: Environment, graph: KnowledgeGraph | None,
@@ -723,78 +727,55 @@ def train(env: Environment, graph: KnowledgeGraph | None, cfg: TrainConfig,
 
 def save_checkpoint(path: str, params: AgentParameters, target: QNetParameters,
                     cfg: TrainConfig, config_hash: str = "", interactions: int = 0) -> None:
-    """Atomic full-state snapshot; greedy behavior round-trips bit-exactly."""
-    arrays: dict[str, np.ndarray] = {
-        "base": params.source.base.data,
-        "row_of_item": params.source.row_of_item,
-    }
-    if params.source.gcn is not None:
-        for k, (w, b) in enumerate(params.source.gcn.layers):
-            arrays[f"gcn_w{k}"] = w.data
-            arrays[f"gcn_b{k}"] = b.data
-    for name, tensor in zip(_GRU_FIELDS, params.gru.tensors()):
-        arrays[f"gru_{name}"] = tensor.data
-    for prefix, net in (("q", params.qnet), ("t", target)):
-        for name, tensor in zip(_HEAD_FIELDS, net.tensors()):
-            arrays[f"{prefix}_{name}"] = tensor.data
-    meta = {
-        "config": asdict(cfg),
-        "config_hash": config_hash,
-        "interactions": interactions,
-        "version": params.version,
-        "gcn_layers": 0 if params.source.gcn is None else params.source.gcn.hops,
-        "base_trainable": params.source.base.requires_grad,
-    }
-    arrays["meta"] = np.array(json.dumps(meta))
+    """Atomic full-state snapshot; greedy behavior round-trips bit-exactly.
+    Arrays p0 ... p{N-1} hold params.tensors() + target.tensors(), then come
+    `row_of_item` and a JSON `meta`: config, config_hash, interactions, version."""
+    tensors = params.tensors() + target.tensors()
+    meta = {"config": asdict(cfg), "config_hash": config_hash, "interactions": interactions,
+            "version": params.version}
     with atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-_GRU_FIELDS = tuple(f.name for f in fields(GruParameters))
-_HEAD_FIELDS = ("vw1", "vb1", "vw2", "vb2", "aw1", "ab1", "aw2", "ab2")
+        np.savez(fh, **{f"p{k}": t.data for k, t in enumerate(tensors)},
+                 row_of_item=params.source.row_of_item, meta=np.array(json.dumps(meta)))
 
 
 def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
-    """Restore (params, target, cfg, meta) saved by save_checkpoint; meta
-    carries config_hash, interactions and version. A file that is no .npz
-    archive, lacks an array or meta key, has a meta that is no JSON object or
-    a config that fails validate() raises ValueError naming the path."""
+    """Restore (params, target, cfg, meta) saved by save_checkpoint. The meta's
+    config builds the parameters (build_parameters); the archive must hold
+    exactly their arrays, finite float64 of the shapes it gives, and a 1-D
+    integer `row_of_item`. Anything else raises ValueError naming the path."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             data = dict(archive)
     except (ValueError, TypeError) as err:  # TypeError: an .npy file, which has no `with`
         raise ValueError(f"{path}: not a checkpoint archive: {err}") from None
     try:
-        meta = json.loads(str(data["meta"]))
+        meta = json.loads(str(data.pop("meta")))
         if not isinstance(meta, dict):
             raise ValueError("checkpoint meta is not a JSON object")
+        meta = {key: meta[key] for key in ("config", "config_hash", "interactions", "version")}
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
             raise ValueError(f"unknown config keys {', '.join(unknown)}")
         cfg = TrainConfig(**meta["config"])
         cfg.validate()
-        base = Tensor(data["base"], requires_grad=bool(meta["base_trainable"]))
-        gcn = None
-        if meta["gcn_layers"]:
-            if graph is None:
-                raise ValueError("checkpoint uses graph propagation; pass the graph")
-            layers = [(Tensor(data[f"gcn_w{k}"], requires_grad=True),
-                       Tensor(data[f"gcn_b{k}"], requires_grad=True))
-                      for k in range(meta["gcn_layers"])]
-            gcn = GcnParameters(layers=layers)
-        source = EmbeddingSource(base=base, row_of_item=data["row_of_item"].copy(),
-                                 graph=graph if gcn is not None else None, gcn=gcn)
-        gru = GruParameters(*(Tensor(data[f"gru_{name}"], requires_grad=True)
-                              for name in _GRU_FIELDS))
-
-        def heads(prefix: str, trainable: bool) -> QNetParameters:
-            ts = [Tensor(data[f"{prefix}_{n}"], requires_grad=trainable) for n in _HEAD_FIELDS]
-            return QNetParameters(value=Mlp(*ts[:4]), advantage=Mlp(*ts[4:]),
-                                  value_input=cfg.value_input)
-
-        params = AgentParameters(source=source, gru=gru, qnet=heads("q", True),
-                                 version=int(meta["version"]))
-        return params, heads("t", False), cfg, meta
+        row_of = data.pop("row_of_item")
+        if row_of.ndim != 1 or row_of.dtype.kind not in "iu":
+            raise ValueError(f"row_of_item must be a 1-D integer array, got {row_of.dtype}"
+                             f"{list(row_of.shape)}")
+        # the config's layout over the archive's table rows; its draws are replaced
+        table = np.zeros(data["p0"].shape[:1] + (cfg.embedding_dim,))
+        params, target = build_parameters(cfg, table, row_of, graph, np.random.default_rng(0))
+        for k, t in enumerate(params.tensors() + target.tensors()):
+            values = data.pop(f"p{k}")
+            if values.shape != t.shape:
+                raise ValueError(f"p{k} has shape {values.shape}, the config's {t.shape}")
+            if values.dtype != np.float64 or not np.isfinite(values).all():
+                raise ValueError(f"p{k} must hold finite float64 values")
+            t.data = values
+        if data:
+            raise ValueError(f"{', '.join(sorted(data))}: not in the config's parameters")
+        params.version = int(meta["version"])
+        return params, target, cfg, meta
     except KeyError as missing:
         raise ValueError(f"{path}: no {missing.args[0]!r} in the checkpoint") from None
     except json.JSONDecodeError as err:

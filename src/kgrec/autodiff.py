@@ -90,7 +90,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[Tensor, ...], Backward]] = []
+        self._ops: list[tuple[Tensor, tuple[Tensor, ...], tuple[bool, ...], Backward]] = []
         self._produced: set[int] = set()
         self._consumed = False
 
@@ -98,13 +98,18 @@ class Tape:
 
     def emit(self, name: str, out_data: np.ndarray, inputs: Iterable[Tensor],
              backward: Backward) -> Tensor:
-        """Record one op: its checked output, its inputs, and a backward from the
-        output's gradient to one piece per input (a tuple, or a generator)."""
+        """Record one op: its checked output, its inputs, which of them track,
+        and a backward from the output's gradient to one piece per input (a
+        tuple, or a generator). An op none of whose inputs track is not
+        recorded, so its output is a constant."""
         out = Tensor.__new__(Tensor)
         out.data = checked(name, out_data)
         out.requires_grad = False
-        self._ops.append((out, tuple(inputs), backward))
-        self._produced.add(id(out))
+        inputs = tuple(inputs)
+        tracked = tuple(map(self.tracks, inputs))
+        if any(tracked):
+            self._ops.append((out, inputs, tracked, backward))
+            self._produced.add(id(out))
         return out
 
     def tracks(self, t: Tensor) -> bool:
@@ -186,7 +191,7 @@ class Tape:
         in `wrt` always get an entry (zeros when the loss does not depend
         on them). A tape can be consumed exactly once; it drops each record
         as it replays it, so a consumed tape holds no intermediate values.
-        Records with no tracked input are skipped; a wrong piece count raises.
+        A wrong piece count raises.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
@@ -195,12 +200,12 @@ class Tape:
         self._consumed = True
         grads: dict[Tensor, np.ndarray] = {loss: np.ones(())}
         while self._ops:
-            out, inputs, backward = self._ops.pop()
+            out, inputs, tracked, backward = self._ops.pop()
             g = grads.pop(out, None)
-            if g is None or not any(map(self.tracks, inputs)):
+            if g is None:
                 continue
-            for inp, piece in zip(inputs, backward(g), strict=True):
-                if self.tracks(inp):
+            for inp, track, piece in zip(inputs, tracked, backward(g), strict=True):
+                if track:
                     held = grads.get(inp)
                     grads[inp] = piece if held is None else held + piece
         result = {t: g for t, g in grads.items() if t.requires_grad}

@@ -54,9 +54,13 @@ class KnowledgeGraph:
             raise ValueError("entity id out of range")
         if triples[:, 1].min() < 0 or triples[:, 1].max() >= n_relations:
             raise ValueError("relation id out of range")
-        # dedup, keep a canonical sorted order
-        triples = np.unique(triples, axis=0)
-        self.triples = triples
+        # dedup in np.unique(axis=0)'s sorted order, by one int64 key per triple
+        if int(n_entities) ** 2 * int(n_relations) >= 2**63:
+            raise ValueError(f"{n_entities} entities and {n_relations} relations overflow the "
+                             "int64 triple key")
+        head_rel, tails = np.divmod(np.unique((triples[:, 0] * n_relations + triples[:, 1])
+                                              * n_entities + triples[:, 2]), n_entities)
+        self.triples = triples = np.column_stack(np.divmod(head_rel, n_relations) + (tails,))
         self.triples.setflags(write=False)
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)

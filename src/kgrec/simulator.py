@@ -130,7 +130,7 @@ def fit_mf(users, items, ratings, n_users: int, n_items: int, dim: int = 20,
             raise ValueError(f"fit_mf: {name} must lie in [0, {size_name}={size}), "
                              f"got ids in [{ids.min()}, {ids.max()}]")
     for name, bounds in _FIT_MF_RANGES.items():
-        check_range(f"fit_mf: {name}", args[name], bounds)
+        check_range(f"fit_mf: {name}", args[name], bounds, fit_mf.__annotations__[name])
     if not np.isfinite(ratings).all():
         raise ValueError("fit_mf: ratings must be finite")
     lo = float(ratings.min()) if rating_min is None else float(rating_min)

@@ -43,11 +43,16 @@ def within(low: float = -math.inf, high: float = math.inf, open_ends: bool = Fal
     return {"range": (low, high, open_ends)}
 
 
-def check_range(name: str, value, metadata: dict) -> None:
+def check_range(name: str, value, metadata: dict, kind: str = "float") -> None:
     """ValueError("<name> must be <range>, got <value>") for a value outside
-    the range `within` declared in `metadata`."""
+    the range `within` declared in `metadata`; "<name> must be an integer"
+    for a value of an "int" or "int | None" `kind` (its annotation) that is
+    neither an Integral nor, in the second, None."""
     low, high, open_ends = metadata["range"]
     integral = isinstance(value, Integral)
+    shown = value if isinstance(value, Real) else repr(value)
+    if kind.startswith("int") and not (integral or value is None and kind.endswith("None")):
+        raise ValueError(f"{name} must be an integer, got {shown}")
     if value is None or (isinstance(value, Real) and (integral or math.isfinite(value))
                          and (low < value < high if open_ends else low <= value <= high)):
         return
@@ -55,16 +60,15 @@ def check_range(name: str, value, metadata: dict) -> None:
         what = f"in ({low}, {high})" if open_ends else f"in [{low}, {high}]"
     else:
         what = "finite" if low == -math.inf else f"{'' if integral else 'finite and '}>= {low}"
-    shown = value if isinstance(value, Real) else repr(value)
     raise ValueError(f"{name} must be {what}, got {shown}")
 
 
 def check_ranges(obj, prefix: str = "") -> None:
     """check_range on every field of dataclass `obj` that declares a range,
-    in field order, naming it `prefix` + its key."""
+    in field order, naming it `prefix` + its key, of its annotation's kind."""
     for f in fields(obj):
         if "range" in f.metadata:
-            check_range(prefix + f.name, getattr(obj, f.name), f.metadata)
+            check_range(prefix + f.name, getattr(obj, f.name), f.metadata, f.type)
 
 
 def parse_flat(text: str, casters: dict, source: str) -> dict:

@@ -1198,7 +1198,7 @@ def test_checkpoint_round_trip_without_graph(tmp_path):
     path = str(tmp_path / "mf.npz")
     save_checkpoint(path, params, target, cfg)
     loaded, _, _, meta = load_checkpoint(path)
-    assert meta["gcn_layers"] == 0
+    assert not meta["config"]["gcn_propagation"]
     assert loaded.source.gcn is None
     assert np.array_equal(loaded.source.base.data, params.source.base.data)
 
@@ -1256,8 +1256,10 @@ def test_checkpoint_validates_its_config(tmp_path, key, value):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("drop", ["base", "gru_u_cand", "t_ab2", "meta", "config",
-                                  "gcn_layers"])
+# the mf-base layout: the table p0, the GRU p1-p9, the heads p10-p17 and
+# the target heads p18-p25
+@pytest.mark.parametrize("drop", ["p0", "p8", "p25", "row_of_item", "meta", "config",
+                                  "interactions", "config_hash", "version"])
 def test_checkpoint_names_a_missing_array_or_meta_key(tmp_path, drop):
     env = _tiny_world()
     cfg = _mf_cfg()
@@ -1275,6 +1277,70 @@ def test_checkpoint_names_a_missing_array_or_meta_key(tmp_path, drop):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: no '{drop}' in the checkpoint$"):
         load_checkpoint(path)
+
+
+def _edited_checkpoint(tmp_path, edit) -> str:
+    """A saved full-variant checkpoint (hops 2, embedding_dim 8, hidden_width
+    8: the table p0, the GCN p1-p4, the GRU p5-p13, the heads p14-p21, the
+    target heads p22-p29) after `edit(arrays, meta)` changed it in place."""
+    cfg = _cfg(hops=2, embedding_dim=8, hidden_width=8)
+    params, target = initialize_parameters(_tiny_world(), _ring_graph(8), cfg, seed=2)
+    path = str(tmp_path / "agent.npz")
+    save_checkpoint(path, params, target, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    edit(arrays, meta)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    return path
+
+
+def _set_config(key, value):
+    return lambda arrays, meta: meta["config"].update({key: value})
+
+
+def _set_array(key, value):
+    return lambda arrays, meta: arrays.update({key: value(arrays)})
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_set_config("hops", 3), "p7"),  # a third hop's weights where the GRU's lie
+    (_set_config("hops", 1), "p5"),
+    (_set_config("embedding_dim", 16), "p0"),
+    (_set_config("hidden_width", 4), "p14"),
+    (_set_config("hops", 2.5), "hops"),
+    (_set_array("p30", lambda arrays: np.zeros(3)), "p30"),
+    (_set_array("row_of_item", lambda arrays: arrays["row_of_item"] * 1.0), "row_of_item"),
+    (_set_array("p3", lambda arrays: np.full((8, 8), np.nan)), "p3"),
+    (_set_array("p3", lambda arrays: np.ones((8, 8), np.float32)), "p3"),
+], ids=["hops-3", "hops-1", "embedding_dim-16", "hidden_width-4", "hops-2.5", "extra-p30",
+        "float-row_of_item", "nan-p3", "float32-p3"])
+def test_checkpoint_that_disagrees_with_its_config_fails_naming_the_key(tmp_path, edit, key):
+    path = _edited_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: {key}\b"):
+        load_checkpoint(path, graph=_ring_graph(8))
+
+
+def test_checkpoint_in_the_per_part_format_fails_naming_p0(tmp_path):
+    def per_part(arrays, meta):
+        for k in range(30):
+            arrays[f"part{k}"] = arrays.pop(f"p{k}")
+        meta.update(gcn_layers=2, base_trainable=True)
+
+    path = _edited_checkpoint(tmp_path, per_part)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: no 'p0' in the checkpoint$"):
+        load_checkpoint(path, graph=_ring_graph(8))
+
+
+def test_initialization_and_loading_build_through_one_function(tmp_path, monkeypatch):
+    built = []
+    build = agent_module.build_parameters
+    monkeypatch.setattr(agent_module, "build_parameters",
+                        lambda *args: built.append(args[0]) or build(*args))
+    path = _edited_checkpoint(tmp_path, lambda arrays, meta: None)
+    _, _, cfg, _ = load_checkpoint(path, graph=_ring_graph(8))
+    assert built == [cfg, cfg]
 
 
 @pytest.mark.parametrize("content", [b"not an archive\n", "npy"])
@@ -1319,7 +1385,6 @@ def test_checkpoint_round_trip_property(tmp_path_factory, variant, value_input, 
     assert _checkpoint_arrays(loaded, ltarget) == _checkpoint_arrays(params, target)
     assert lcfg == cfg
     assert meta == {"config": asdict(cfg), "config_hash": "h", "interactions": 77,
-                    "version": params.version, "gcn_layers": hops if gcn else 0,
-                    "base_trainable": gcn or not kg}
+                    "version": params.version}
     assert (evaluate_policy(loaded, env, graph, lcfg)
             == evaluate_policy(params, env, graph, cfg))

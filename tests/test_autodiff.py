@@ -170,9 +170,19 @@ def test_record_without_tracked_inputs_is_never_asked_for_pieces():
     constant = tape.emit("probe", np.full(2, 2.0), (Tensor(np.ones(2)),), backward)
     tracked = tape.emit("probe", x.data * 3.0, (x,), backward)
     grads = tape.backward(tape.sum(tape.add(constant, tracked)))
-    # both records are reached; only the one whose input tracks is asked
+    # only the record whose input tracks is kept, and asked
     assert len(asked) == 1
     assert np.array_equal(grads[x], np.ones(2))
+
+
+def test_an_op_over_constants_gives_a_tensor_the_tape_does_not_track():
+    x = Tensor(np.ones(2), requires_grad=True)
+    tape = Tape()
+    constant = tape.relu(tape.mul(Tensor(np.ones(2)), Tensor(np.full(2, 2.0))))
+    tracked = tape.mul(x, constant)
+    assert not tape.tracks(constant)
+    assert tape.tracks(tracked)
+    assert np.array_equal(tape.backward(tape.sum(tracked))[x], np.full(2, 2.0))
 
 
 @pytest.mark.parametrize("pieces", [0, 2])

@@ -248,6 +248,14 @@ def test_constructor_validation():
         KnowledgeGraph(np.array([[0, 0, 1]]), 3, 1, {0: 9})  # link out of range
 
 
+def test_counts_whose_triple_key_overflows_int64_are_named():
+    # 2^31 entities and 2 relations give 2^63 keys; nothing that size is allocated
+    with pytest.raises(ValueError, match=f"^{2**31} entities and 2 relations overflow"):
+        KnowledgeGraph(np.array([[0, 1, 1]]), 2**31, 2, {})
+    with pytest.raises(ValueError, match=f"^3 entities and {2**60} relations overflow"):
+        KnowledgeGraph(np.array([[0, 0, 1]]), 3, 2**60, {})
+
+
 def test_expansion_validation():
     g = KnowledgeGraph(np.array([[0, 0, 1]]), 2, 1, {0: 0})
     with pytest.raises(ValueError):

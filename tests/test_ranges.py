@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from kgrec.agent import TrainConfig
 from kgrec.experiments import ExperimentConfig
 from kgrec.simulator import _FIT_MF_RANGES, fit_mf
-from kgrec.synth import SynthSpec
+from kgrec.synth import SynthSpec, generate
 from kgrec.transe import TranseConfig
 
 CLASSES = {"TrainConfig": TrainConfig, "ExperimentConfig": ExperimentConfig,
@@ -118,3 +118,22 @@ def _outside(bounds, integral):
 def test_any_value_outside_a_declared_range_is_rejected(check, data):
     owner, key, kind, bounds = data.draw(st.sampled_from(DECLARED))
     _rejects(check, owner, key, data.draw(_outside(bounds, kind.startswith("int"))))
+
+
+INTEGRAL = [(owner, key) for owner, key, kind, _ in DECLARED if kind.startswith("int")]
+
+
+@pytest.mark.parametrize("owner, key", INTEGRAL, ids=[f"{owner}.{key}" for owner, key in INTEGRAL])
+def test_integer_setting_rejects_a_fraction_naming_the_key(check, owner, key):
+    with pytest.raises(ValueError, match=f"^{re.escape(_prefix(owner) + key)} must be an "
+                                         f"integer, got 2.5$"):
+        check[owner](**{key: 2.5})
+
+
+def test_integer_settings_take_numpy_integers_and_none_only_when_optional(check):
+    check["TrainConfig"](hops=np.int64(2), candidate_size=None)
+    check["fit_mf"](dim=np.int32(2))
+    with pytest.raises(ValueError, match="^hops must be an integer, got None$"):
+        check["TrainConfig"](hops=None)
+    with pytest.raises(ValueError, match="^users must be an integer, got 2.5$"):
+        generate(SynthSpec(users=2.5))
