@@ -90,7 +90,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[Tensor, ...], tuple[bool, ...], Backward]] = []
+        self._ops: list[tuple[Tensor, tuple[Tensor, ...], Backward]] = []
         self._produced: set[int] = set()
         self._consumed = False
 
@@ -98,17 +98,16 @@ class Tape:
 
     def emit(self, name: str, out_data: np.ndarray, inputs: Iterable[Tensor],
              backward: Backward) -> Tensor:
-        """Record one op: its checked output, its inputs, which of them track,
-        and a backward from the output's gradient to one piece per input (a
-        tuple, or a generator). An op none of whose inputs track is not
-        recorded, so its output is a constant."""
+        """Record one op: its checked output, its inputs, and a backward from the
+        output's gradient to one piece per input (a tuple, or a generator).
+        An op none of whose inputs track is not recorded: its output is a
+        constant."""
         out = Tensor.__new__(Tensor)
         out.data = checked(name, out_data)
         out.requires_grad = False
         inputs = tuple(inputs)
-        tracked = tuple(map(self.tracks, inputs))
-        if any(tracked):
-            self._ops.append((out, inputs, tracked, backward))
+        if any(map(self.tracks, inputs)):
+            self._ops.append((out, inputs, backward))
             self._produced.add(id(out))
         return out
 
@@ -200,12 +199,12 @@ class Tape:
         self._consumed = True
         grads: dict[Tensor, np.ndarray] = {loss: np.ones(())}
         while self._ops:
-            out, inputs, tracked, backward = self._ops.pop()
+            out, inputs, backward = self._ops.pop()
             g = grads.pop(out, None)
             if g is None:
                 continue
-            for inp, track, piece in zip(inputs, tracked, backward(g), strict=True):
-                if track:
+            for inp, piece in zip(inputs, backward(g), strict=True):
+                if self.tracks(inp):
                     held = grads.get(inp)
                     grads[inp] = piece if held is None else held + piece
         result = {t: g for t, g in grads.items() if t.requires_grad}
