@@ -22,8 +22,8 @@ from typing import Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .autodiff import Tape, Tensor, glorot_uniform
-from .encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, padded_rows,
-                      propagate_all)
+from .encoder import (GcnParameters, GruParameters, encode_rows, gru_step_np, item_rows,
+                      padded_rows, propagate_all)
 from .graph import KnowledgeGraph, candidate_items
 from .optim import AdamState, adam_step
 from .simulator import SimulatorModel, fit_mf, preference_counts, reset, step
@@ -82,13 +82,23 @@ class EmbeddingSource:
     """Item representation: a base table, optionally propagated over a graph.
 
     row_of_item maps raw item ids to rows of the (propagated) matrix;
-    -1 marks items without a representation.
+    -1 marks items without a representation (checked when built).
     """
 
     base: Tensor
     row_of_item: np.ndarray
     graph: KnowledgeGraph | None = None
     gcn: GcnParameters | None = None
+
+    def __post_init__(self):
+        row_of = self.row_of_item = np.asarray(self.row_of_item)
+        if row_of.ndim != 1 or row_of.dtype.kind not in "iu":
+            raise ValueError(f"row_of_item must be a 1-D integer array, got {row_of.dtype}"
+                             f"{list(row_of.shape)}")
+        bad = np.flatnonzero((row_of < -1) | (row_of >= self.base.shape[0]))
+        if bad.size:
+            raise ValueError(f"row_of_item maps item {bad[0]} to row {row_of[bad[0]]}, not -1 "
+                             f"or a row of the {self.base.shape[0]}-row item table")
 
     def matrix(self, tape: Tape) -> Tensor:
         if self.gcn is not None:
@@ -98,12 +108,7 @@ class EmbeddingSource:
         return self.base
 
     def rows(self, items) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        rows = self.row_of_item[items]
-        if rows.size and rows.min() < 0:
-            missing = items[rows < 0][0]
-            raise KeyError(f"item {int(missing)} has no embedding row")
-        return rows
+        return item_rows(self.row_of_item, items)
 
 
 @dataclass
@@ -113,7 +118,7 @@ class AgentParameters:
     qnet: QNetParameters
     version: int = 0
     # (version, tape, matrix tensor, matrix values, online QScorer) of one version
-    _cache: tuple | None = field(default=None, repr=False, compare=False)
+    _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def tensors(self) -> list[Tensor]:
         """Every tensor in the checkpoint's order: the item table, the GCN's,
@@ -308,7 +313,7 @@ class Environment:
     items: np.ndarray
     train_interactions: tuple[np.ndarray, np.ndarray, np.ndarray]
     catalog: np.ndarray | None = None
-    _pref_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _pref_cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def test_preference_counts(self) -> np.ndarray:
         if self._pref_cache is None:
@@ -741,8 +746,8 @@ def save_checkpoint(path: str, params: AgentParameters, target: QNetParameters,
 def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
     """Restore (params, target, cfg, meta) saved by save_checkpoint. The meta's
     config builds the parameters (build_parameters); the archive must hold
-    exactly their arrays, finite float64 of the shapes it gives, and a 1-D
-    integer `row_of_item`. Anything else raises ValueError naming the path."""
+    exactly their arrays, finite float64 of the shapes it gives, and a
+    `row_of_item` that EmbeddingSource takes. Anything else raises ValueError naming the path."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             data = dict(archive)
@@ -759,9 +764,6 @@ def load_checkpoint(path: str, graph: KnowledgeGraph | None = None):
         cfg = TrainConfig(**meta["config"])
         cfg.validate()
         row_of = data.pop("row_of_item")
-        if row_of.ndim != 1 or row_of.dtype.kind not in "iu":
-            raise ValueError(f"row_of_item must be a 1-D integer array, got {row_of.dtype}"
-                             f"{list(row_of.shape)}")
         # the config's layout over the archive's table rows; its draws are replaced
         table = np.zeros(data["p0"].shape[:1] + (cfg.embedding_dim,))
         params, target = build_parameters(cfg, table, row_of, graph, np.random.default_rng(0))

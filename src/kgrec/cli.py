@@ -123,10 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ValueError, KeyError or OSError prints one error line, exit 2."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as err:
+        # a KeyError's str() is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"kgrec: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

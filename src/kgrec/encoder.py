@@ -190,12 +190,25 @@ def encode_rows(gru: GruParameters, item_matrix: Tensor, row_of: np.ndarray,
     return tape.emit("encode_rows", h, inputs, backward)
 
 
+def item_rows(row_of: np.ndarray, items) -> np.ndarray:
+    """The matrix rows of item ids, row_of[item] (-1 for an item without one);
+    an id outside the map or mapped to -1 raises KeyError naming it."""
+    items = np.asarray(items, dtype=np.int64)
+    # viewed unsigned, a negative id lies past the map's end too
+    if not items.size or items.view(np.uint64).max() < len(row_of):
+        rows = row_of[items]
+        if not rows.size or rows.min() >= 0:
+            return rows
+    missing = next(i for i in items.ravel().tolist() if not 0 <= i < len(row_of) or row_of[i] < 0)
+    raise KeyError(f"item {missing} has no embedding row")
+
+
 def padded_rows(row_of: np.ndarray, histories: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-padded (steps, B) matrix rows of B histories (row 0 in the
+    """Right-padded (steps, B) item_rows of B histories (row 0 in the
     padding) and the (steps, B) mask of the real steps."""
     lengths = np.fromiter(map(len, histories), np.int64, len(histories))
     valid = np.arange(lengths.max(initial=0))[:, None] < lengths
     rows = np.zeros(valid.shape, dtype=np.int64)
-    rows.T[valid.T] = row_of[np.fromiter(chain.from_iterable(histories), np.int64,
-                                         int(lengths.sum()))]
+    rows.T[valid.T] = item_rows(row_of, np.fromiter(chain.from_iterable(histories), np.int64,
+                                                    int(lengths.sum())))
     return rows, valid

@@ -451,8 +451,8 @@ def sweep_candidates(config: ExperimentConfig, sizes: list[int | None] | None = 
     config.validate()
     if not config.candidate_selection:
         raise ValueError("candidate sweep needs candidate_selection enabled")
-    if sizes is None:
-        sizes = parse_sizes(config.candidate_sizes)
+    sizes = parse_sizes(config.candidate_sizes if sizes is None else
+                        ",".join("all" if s is None else str(s) for s in sizes))
     results: dict[str, list[RunArtifacts]] = {}
     rows = []
     os.makedirs(config.out_dir, exist_ok=True)

@@ -243,11 +243,17 @@ def popularity_table(items, restrict_to=None) -> np.ndarray:
 
 
 def preference_counts(m: SimulatorModel, users, items) -> np.ndarray:
-    """Per-user count of catalog items whose simulated rating clears the threshold."""
+    """Per-user count of catalog items whose simulated rating clears the
+    threshold, with predict_raw's bytes: each pair's dot is a stacked 1xd @ dx1
+    matmul, as in fit_mf. An id outside the model raises IndexError."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    raw = (m.global_mean + m.user_bias[users][:, None] + m.item_bias[items][None, :]
-           + m.user_factors[users] @ m.item_factors[items].T)
-    raw = np.clip(raw, m.rating_min, m.rating_max)
-    return (raw > m.hit_threshold).sum(axis=1)
+    for name, ids, size in (("user", users, m.n_users), ("item", items, m.n_items)):
+        bad = ids[(ids < 0) | (ids >= size)]
+        if bad.size:
+            raise IndexError(f"{name} {bad[0]} outside the model's {size} {name}s")
+    raw = m.global_mean + m.user_bias[users][:, None] + m.item_bias[items][None, :]
+    raw += np.matmul(m.user_factors[users][:, None, None, :],
+                     m.item_factors[items][None, :, :, None])[:, :, 0, 0]
+    return (np.clip(raw, m.rating_min, m.rating_max, out=raw) > m.hit_threshold).sum(axis=1)
 

@@ -6,7 +6,7 @@ import json
 import os
 import re
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ from kgrec.autodiff import Tape, Tensor
 from kgrec.encoder import GcnParameters, GruParameters
 from kgrec.experiments import build_environment, curve_csv_text, ingest, parse_config_text
 from kgrec.graph import build_graph
-from kgrec.simulator import fit_mf
+from kgrec.simulator import fit_mf, preference_counts
 from kgrec.synth import SynthSpec, generate, write_dataset
 from kgrec.transe import TranseConfig
 from oracles import (ReplayBufferArrays, candidate_items_bfs, catalog_fallback_isin,
@@ -551,6 +551,74 @@ def test_item_matrix_cache_follows_version():
     m2 = params.item_matrix_data()
     assert m2 is not m1
     np.testing.assert_allclose(m2, m1 + 1.0, atol=1e-15)
+
+
+def test_replace_does_not_carry_the_item_matrix_cache():
+    env = _tiny_world()
+    params, _ = initialize_parameters(env, None, _mf_cfg(), seed=0)
+    matrix = params.item_matrix_data()
+    heads = params.qnet.clone()
+    for t in heads.tensors():
+        t.data = t.data + 1.0
+    other = replace(params, qnet=heads)
+    scorer = other.item_matrix()[3]
+    assert scorer.qnet is heads
+    assert scorer.item_hidden.tobytes() == QScorer(heads, matrix).item_hidden.tobytes()
+
+
+def test_replace_does_not_carry_the_preference_cache():
+    env = _tiny_world()
+    everything = env.test_preference_counts()
+    want = preference_counts(env.model, env.test_users, np.arange(2))
+    assert want.tolist() != everything.tolist()  # the narrower catalog counts fewer
+    assert replace(env, catalog=np.arange(2)).test_preference_counts().tolist() == want.tolist()
+
+
+# -- the item lookup -----------------------------------------------------
+
+
+def _gapped_source(rng, dim=3):
+    """Items 0, 1 and 3 on rows 0, 1 and 2 of a 3-row table; item 2 has none."""
+    base = Tensor(rng.standard_normal((3, dim)), requires_grad=True)
+    return EmbeddingSource(base=base, row_of_item=np.array([0, 1, -1, 2]))
+
+
+@pytest.mark.parametrize("item", [-1, 4, 7])
+def test_rows_of_an_item_outside_the_map_raise_naming_it(item):
+    source = _gapped_source(np.random.default_rng(0))
+    assert source.rows([3, 0, 1]).tolist() == [2, 0, 1]
+    for missing in (item, 2):
+        with pytest.raises(KeyError, match=f"^'item {missing} has no embedding row'$"):
+            source.rows([0, missing, 2, 1])
+
+
+@pytest.mark.parametrize("item", [2, -1, 7])
+def test_a_history_item_without_a_row_raises_in_the_loss_and_the_targets(item):
+    rng = np.random.default_rng(23)
+    params = AgentParameters(source=_gapped_source(rng), gru=GruParameters.init(3, rng),
+                             qnet=_qnet(rng, 3))
+    target = params.qnet.clone()
+    good = Experience(observation=(0,), action=1, reward=0.5, next_observation=(0, 1),
+                      next_candidates=(3, 0), terminal=False)
+    assert np.isfinite(compute_targets([good], params, target, 0.9)).all()
+    assert np.isfinite(td_loss([good], params, np.zeros(1), Tape()).data)
+    bad = replace(good, observation=(0, item), next_observation=(0, item, 1))
+    needle = f"^'item {item} has no embedding row'$"
+    with pytest.raises(KeyError, match=needle):
+        compute_targets([good, bad], params, target, 0.9)
+    with pytest.raises(KeyError, match=needle):
+        td_loss([good, bad], params, np.zeros(2), Tape())
+
+
+@pytest.mark.parametrize("row_of, needle", [
+    (np.array([0, 5, -3]), "maps item 1 to row 5, not -1 or a row of the 3-row item table"),
+    (np.array([0, -3]), "maps item 1 to row -3"),
+    (np.array([0.0, 1.0]), "must be a 1-D integer array, got float64"),
+    (np.array([[0, 1]]), r"must be a 1-D integer array, got int64\[1, 2\]"),
+], ids=["past-the-table", "below-minus-one", "float", "2-D"])
+def test_a_map_that_is_not_rows_of_the_table_fails_when_built(row_of, needle):
+    with pytest.raises(ValueError, match=f"^row_of_item {needle}"):
+        EmbeddingSource(base=Tensor(np.zeros((3, 2))), row_of_item=row_of)
 
 
 # -- candidate construction ----------------------------------------------
@@ -1312,10 +1380,13 @@ def _set_array(key, value):
     (_set_config("hops", 2.5), "hops"),
     (_set_array("p30", lambda arrays: np.zeros(3)), "p30"),
     (_set_array("row_of_item", lambda arrays: arrays["row_of_item"] * 1.0), "row_of_item"),
+    (_set_array("row_of_item", lambda arrays: arrays["row_of_item"] + 8), "row_of_item"),
+    (_set_array("row_of_item", lambda arrays: arrays["row_of_item"] - 9), "row_of_item"),
     (_set_array("p3", lambda arrays: np.full((8, 8), np.nan)), "p3"),
     (_set_array("p3", lambda arrays: np.ones((8, 8), np.float32)), "p3"),
 ], ids=["hops-3", "hops-1", "embedding_dim-16", "hidden_width-4", "hops-2.5", "extra-p30",
-        "float-row_of_item", "nan-p3", "float32-p3"])
+        "float-row_of_item", "row_of_item-past-p0", "row_of_item-below-minus-one", "nan-p3",
+        "float32-p3"])
 def test_checkpoint_that_disagrees_with_its_config_fails_naming_the_key(tmp_path, edit, key):
     path = _edited_checkpoint(tmp_path, edit)
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}: {key}\b"):

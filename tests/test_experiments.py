@@ -2,6 +2,7 @@
 assembly, run artifacts, comparisons, sweeps and the CLI surface."""
 
 import logging
+import re
 import os
 from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
@@ -761,15 +762,15 @@ def test_compare_validates_run_shapes(tmp_path):
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 1.5, -0.1])
-def test_compare_rejects_an_alpha_outside_the_unit_interval(tmp_path, alpha):
+def test_compare_rejects_an_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
     d = tmp_path / "a" / "seed_0"
     d.mkdir(parents=True)
     _write_per_user(d / "report_users.csv", [0, 1, 2], np.linspace(0.1, 0.3, 3))
     with pytest.raises(ValueError, match="alpha must be in"):
         compare(str(tmp_path / "a"), str(tmp_path / "a"), alpha=alpha)
-    with pytest.raises(ValueError, match="alpha must be in"):
-        cli.main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
-                  "--alpha", str(alpha)])
+    assert cli.main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
+                     "--alpha", str(alpha)]) == 2
+    assert capsys.readouterr().err.startswith("kgrec: error: alpha must be in")
 
 
 # -- sweeps --------------------------------------------------------------
@@ -790,6 +791,19 @@ def test_sweep_candidates_writes_per_size_runs(world, tmp_path):
     assert [r[0] for r in rows[1:]] == ["2", "all"]
     for row in rows[1:]:
         float(row[2])  # parses
+
+
+@pytest.mark.parametrize("sizes, needle", [([5, 5], r"repeat \['5'\]"),
+                                           ([None, 2, None], r"repeat \['all'\]"),
+                                           ([], "empty candidate size list")])
+def test_sweep_applies_the_size_rules_to_a_given_list(world, tmp_path, monkeypatch, sizes,
+                                                      needle):
+    monkeypatch.setattr(experiments_module, "run_experiment",
+                        lambda config: pytest.fail("ran a size"))
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=needle):
+        sweep_candidates(_tiny_config(world, str(out)), sizes=sizes)
+    assert not out.exists()
 
 
 def test_sweep_requires_candidate_selection(world, tmp_path):
@@ -843,7 +857,43 @@ def test_cli_end_to_end(world, tmp_path, capsys):
     assert os.path.exists(os.path.join(sweep_dir, "sweep.csv"))
 
 
-def test_cli_synth_seed_overrides_the_spec(tmp_path):
+def test_cli_prints_one_line_for_a_bad_config(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("bogus = 1\n")
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"kgrec: error: {path}:1: unknown key 'bogus'\n"
+
+
+def test_cli_prints_one_line_for_a_checkpoint_that_is_no_archive(world, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_config_text(world, str(tmp_path / "exp")))
+    checkpoint = tmp_path / "checkpoint.npz"
+    checkpoint.write_text("not an archive\n")
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kgrec: error: {checkpoint}: not a checkpoint archive")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error, line", [
+    (KeyError("item 7 has no embedding row"), "item 7 has no embedding row"),
+    (FileNotFoundError(2, "No such file or directory", "a.csv"),
+     "[Errno 2] No such file or directory: 'a.csv'"),
+], ids=["KeyError", "OSError"])
+def test_cli_prints_the_message_of_a_key_or_os_error(monkeypatch, capsys, error, line):
+    def fail(a, b, alpha):
+        raise error
+
+    monkeypatch.setattr(experiments_module, "compare", fail)
+    assert cli.main(["compare", "--a", "a", "--b", "b"]) == 2
+    assert capsys.readouterr().err == f"kgrec: error: {line}\n"
+    # any other error is a fault of the program, not of its input
+    monkeypatch.setattr(experiments_module, "compare", lambda a, b, alpha: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["compare", "--a", "a", "--b", "b"])
+
+
+def test_cli_synth_seed_overrides_the_spec(tmp_path, capsys):
     body = "clusters = 3\nitems_per_cluster = 4\nusers = 12\nout_ratings_per_user = 2\n"
     (tmp_path / "seed0.cfg").write_text(body + "seed = 0\n")
     (tmp_path / "seed5.cfg").write_text(body + "seed = 5\n")
@@ -858,9 +908,10 @@ def test_cli_synth_seed_overrides_the_spec(tmp_path):
                        for f in ("interactions.tsv", "kg_triples.tsv", "kg_links.tsv")]
     assert files["spec 0, --seed 5"] == files["spec 5"]
     assert files["spec 0, --seed 5"] != files["spec 0"]
-    with pytest.raises(ValueError, match="^seed must be >= 0"):
-        cli.main(["synth", "--spec", str(tmp_path / "seed0.cfg"), "--seed", "-1",
-                  "--out", str(tmp_path / "negative")])
+    capsys.readouterr()
+    assert cli.main(["synth", "--spec", str(tmp_path / "seed0.cfg"), "--seed", "-1",
+                     "--out", str(tmp_path / "negative")]) == 2
+    assert capsys.readouterr().err.startswith("kgrec: error: seed must be >= 0")
 
 
 def test_cli_eval_without_a_snapshot_needs_config(world, tmp_path, capsys):
@@ -908,7 +959,7 @@ def test_cli_sweep_takes_sizes_from_the_config(world, tmp_path, monkeypatch, cap
     ("eval_gamma", "nan"), ("tau", "2"), ("init_mf_lr", "inf"),
 ])
 def test_cli_train_rejects_bad_embedding_settings_before_ingest(world, tmp_path, monkeypatch,
-                                                                key, value):
+                                                                capsys, key, value):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(_config_text(world, str(tmp_path / "exp"), **{key: value}))
 
@@ -916,8 +967,8 @@ def test_cli_train_rejects_bad_embedding_settings_before_ingest(world, tmp_path,
         raise AssertionError("ingested")
 
     monkeypatch.setattr(experiments_module, "ingest", no_ingest)
-    with pytest.raises(ValueError, match="must be"):
-        cli.main(["train", "--config", str(cfg_path)])
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert re.match(r"kgrec: error: .*must be", capsys.readouterr().err)
     assert not os.path.exists(tmp_path / "exp")
 
 
@@ -925,8 +976,8 @@ def test_cli_train_rejects_bad_embedding_settings_before_ingest(world, tmp_path,
     ("eta", "0.5", r"eta must be one of \(0\.0, 0\.1, 0\.2\)"),
     ("epsilon_decay_fraction", "-1", "epsilon_decay_fraction must be"),
 ], ids=["eta", "epsilon_decay_fraction"])
-def test_cli_eval_rejects_a_bad_config_before_ingest(world, tmp_path, monkeypatch, key, value,
-                                                     needle):
+def test_cli_eval_rejects_a_bad_config_before_ingest(world, tmp_path, monkeypatch, capsys, key,
+                                                     value, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(_config_text(world, str(tmp_path / "exp"), **{key: value}))
 
@@ -934,9 +985,9 @@ def test_cli_eval_rejects_a_bad_config_before_ingest(world, tmp_path, monkeypatc
         raise AssertionError("ingested")
 
     monkeypatch.setattr(experiments_module, "ingest", no_ingest)
-    with pytest.raises(ValueError, match=needle):
-        cli.main(["eval", "--checkpoint", str(tmp_path / "checkpoint.npz"),
-                  "--config", str(cfg_path)])
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "checkpoint.npz"),
+                     "--config", str(cfg_path)]) == 2
+    assert re.match(f"kgrec: error: .*{needle}", capsys.readouterr().err)
 
 
 def test_cli_train_seed_and_budget_overrides(world, tmp_path, capsys):

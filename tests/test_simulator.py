@@ -366,3 +366,62 @@ def test_preference_counts_match_brute_force():
             raw = min(max(m.predict_raw(int(u), int(i)), m.rating_min), m.rating_max)
             want += raw > m.hit_threshold
         assert got[row] == want
+
+
+def _hits(m, users, items):
+    """Per user, the items whose instinctive_reward is a hit: step's rule."""
+    return [sum(instinctive_reward(m, int(u), int(i))[2] for i in items) for u in users]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 4), n_items=st.integers(1, 6),
+       dim=st.integers(1, 64))
+def test_preference_counts_are_the_hits_of_instinctive_reward(seed, n_users, n_items, dim):
+    """With the threshold on each pair's predict_raw rating and one ulp below
+    it, the counts equal step's hits: each pair's rating in preference_counts
+    has predict_raw's bytes (the scale is wide enough that nothing clamps)."""
+    rng = np.random.default_rng(seed)
+    m = SimulatorModel(user_factors=rng.standard_normal((n_users, dim)),
+                       item_factors=rng.standard_normal((n_items, dim)),
+                       user_bias=rng.standard_normal(n_users),
+                       item_bias=rng.standard_normal(n_items),
+                       global_mean=3.0, rating_min=-1e3, rating_max=1e3, hit_threshold=0.0)
+    users, items = np.arange(n_users), np.arange(n_items)
+    assert preference_counts(m, users, items).tolist() == _hits(m, users, items)
+    for u in range(n_users):
+        for i in range(n_items):
+            rating = m.predict_raw(u, i)
+            for m.hit_threshold in (rating, np.nextafter(rating, -np.inf)):
+                assert preference_counts(m, users, items).tolist() == _hits(m, users, items)
+
+
+def test_preference_counts_follow_step_where_a_gemm_rounds_differently():
+    """A (users x d) @ (d x items) product rounds some ratings of this model
+    differently from predict_raw's per-pair dot; with the threshold on the
+    lower of a differing pair's two ratings, only one form scores that pair a
+    hit, and the counts must take step's."""
+    rng = np.random.default_rng(29)
+    n_users, n_items, dim = 40, 100, 50
+    m = SimulatorModel(user_factors=rng.standard_normal((n_users, dim)) * 0.3,
+                       item_factors=rng.standard_normal((n_items, dim)) * 0.3,
+                       user_bias=rng.standard_normal(n_users) * 0.2,
+                       item_bias=rng.standard_normal(n_items) * 0.2,
+                       global_mean=3.0, rating_min=-1e3, rating_max=1e3, hit_threshold=3.0)
+    gemm = (m.global_mean + m.user_bias[:, None] + m.item_bias[None, :]
+            + m.user_factors @ m.item_factors.T)
+    per_pair = np.array([[m.predict_raw(u, i) for i in range(n_items)] for u in range(n_users)])
+    differ = np.argwhere(gemm != per_pair)
+    if not len(differ):
+        pytest.skip("this BLAS rounds the gemm as the per-pair dot")
+    u, i = differ[0]
+    m.hit_threshold = min(gemm[u, i], per_pair[u, i])
+    users, items = np.arange(n_users), np.arange(n_items)
+    assert preference_counts(m, users, items).tolist() == _hits(m, users, items)
+
+
+@pytest.mark.parametrize("users, items, needle", [
+    ([-1], [0], "user -1"), ([4], [0], "user 4"), ([0], [-2], "item -2"), ([0], [6], "item 6"),
+])
+def test_preference_counts_reject_ids_outside_the_model(users, items, needle):
+    with pytest.raises(IndexError, match=f"^{needle} outside the model"):
+        preference_counts(_model(), users, items)
